@@ -289,34 +289,6 @@ func BenchmarkParallelFlush(b *testing.B) {
 	}
 }
 
-// BenchmarkBGParFlush measures the saturated background flood with
-// the worker pool off and on. ReportAllocs makes the scheduler's op
-// freelist visible: the flush/clean hot path recycles its operation
-// records, so allocs/op stays flat as the flood grows, and the pooled
-// variant shows the handoff cost the workers add on this machine.
-func BenchmarkBGParFlush(b *testing.B) {
-	for _, workers := range []int{0, experiments.BGParWorkers} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rig, err := experiments.BGParPrepare(workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rig.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var flushes int64
-			for i := 0; i < b.N; i++ {
-				ctr, err := rig.Drive(2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				flushes = ctr.Flushes
-			}
-			b.ReportMetric(float64(flushes), "flushes")
-		})
-	}
-}
-
 // BenchmarkAblationRedistribution measures the locality-gathering
 // redistribution ablation.
 func BenchmarkAblationRedistribution(b *testing.B) {

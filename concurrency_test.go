@@ -43,10 +43,17 @@ func crashedErr(err error) bool {
 // makes the read-back exact. If tolerateCrash is set, workers stand
 // down quietly once the device goes down; otherwise any error fails
 // the test.
+//
+// The transaction is device-wide: a plain write landing while it is
+// open is captured by it and rolls back with it. txn coordinates
+// ownership the way the Device documentation asks callers to — the
+// transaction owner holds it exclusively from Begin to Commit or
+// Rollback, and workers hold it shared around each write.
 func hammer(t *testing.T, dev *envy.Device, workers, opsPerWorker int, tolerateCrash bool) {
 	t.Helper()
 	stripe := uint64(4096)
 	var wg sync.WaitGroup
+	var txn sync.RWMutex
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -59,7 +66,10 @@ func hammer(t *testing.T, dev *envy.Device, workers, opsPerWorker int, tolerateC
 				// cleaning all happen under the hammer.
 				addr := base + uint64(i*132)%stripe
 				want := uint32(w)<<24 | uint32(i)
-				if _, err := dev.WriteWordErr(addr, want); err != nil {
+				txn.RLock()
+				_, err := dev.WriteWordErr(addr, want)
+				txn.RUnlock()
+				if err != nil {
 					if tolerateCrash && crashedErr(err) {
 						return
 					}
@@ -89,21 +99,23 @@ func hammer(t *testing.T, dev *envy.Device, workers, opsPerWorker int, tolerateC
 		defer wg.Done()
 		base := uint64(workers) * stripe
 		buf := make([]byte, 8)
-		for round := 0; round < opsPerWorker/10+1; round++ {
+		// runRound runs one transaction under the exclusive txn lock
+		// and reports whether the owner should stop.
+		runRound := func(round int) (stop bool) {
+			txn.Lock()
+			defer txn.Unlock()
 			if err := dev.Begin(); err != nil {
-				if tolerateCrash && crashedErr(err) {
-					return
+				if !(tolerateCrash && crashedErr(err)) {
+					t.Errorf("txn: begin: %v", err)
 				}
-				t.Errorf("txn: begin: %v", err)
-				return
+				return true
 			}
 			binary.LittleEndian.PutUint64(buf, uint64(round))
 			if _, err := dev.WriteErr(buf, base+uint64(round%64)*8); err != nil {
-				if tolerateCrash && crashedErr(err) {
-					return
+				if !(tolerateCrash && crashedErr(err)) {
+					t.Errorf("txn: write: %v", err)
 				}
-				t.Errorf("txn: write: %v", err)
-				return
+				return true
 			}
 			var err error
 			if round%2 == 0 {
@@ -112,10 +124,15 @@ func hammer(t *testing.T, dev *envy.Device, workers, opsPerWorker int, tolerateC
 				err = dev.Rollback()
 			}
 			if err != nil {
-				if tolerateCrash && crashedErr(err) {
-					return
+				if !(tolerateCrash && crashedErr(err)) {
+					t.Errorf("txn: close round %d: %v", round, err)
 				}
-				t.Errorf("txn: close round %d: %v", round, err)
+				return true
+			}
+			return false
+		}
+		for round := 0; round < opsPerWorker/10+1; round++ {
+			if runRound(round) {
 				return
 			}
 		}

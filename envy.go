@@ -130,36 +130,18 @@ type Config struct {
 	// The synchronous access methods are unaffected.
 	HostQueueDepth int
 
-	// PageTableShards splits the page table into this many logical-page
-	// range shards, each behind its own lock, letting concurrent
-	// submitters translate in parallel without the device mutex.
-	// Without ParallelService, sharding never changes simulated timing —
-	// results are bit-identical at any shard count. Default 1.
-	PageTableShards int
-
-	// ParallelService enables the lock-decomposed parallel host service
-	// path for Submit requests: the engine admits batches of queued
-	// requests whose resource footprints (page-table shards + Flash
-	// banks) are disjoint and executes them concurrently on real OS
-	// threads, each batch starting at a shared simulated base time and
-	// merging deterministically. Requires HostQueueDepth > 1 to have any
-	// effect; PageTableShards and ParallelFlush should be raised toward
-	// the bank count for real wins. Changes the simulated timing of
-	// multi-outstanding runs (batched requests genuinely overlap);
-	// results remain bit-identical for a given submission order at any
-	// GOMAXPROCS. Default off.
+	// ParallelService enables the batched host service path for Submit
+	// requests: the engine admits batches of queued requests whose
+	// resource footprints (logical-page shards + Flash banks) are
+	// disjoint and overlaps them on the simulated clock, each batch
+	// starting at a shared base time and ending at its latest member.
+	// The logical space is split into 4×Banks shards, each with its own
+	// MMU translation cache. Requires HostQueueDepth > 1 to have any
+	// effect; ParallelFlush should be raised toward the bank count.
+	// Changes the simulated timing of multi-outstanding runs (batched
+	// requests genuinely overlap); results remain bit-identical for a
+	// given submission order. Default off.
 	ParallelService bool
-
-	// BGWorkers, when positive, runs the background path's physical
-	// byte movement — flush-program payload copies into the Flash
-	// model's backing store, and cleaning relocation copies — on a pool
-	// of that many worker OS threads with one FIFO job lane per bank.
-	// The scheduler's decision loop stays serial and jobs never touch
-	// simulated state, so results are bit-identical to the serial path
-	// (BGWorkers 0) at any worker count and any GOMAXPROCS; only
-	// wall-clock throughput changes. Clamped to Banks; ignored with
-	// Dataless (no payloads to move). Default 0: off.
-	BGWorkers int
 
 	// AdaptiveDepth enables the host-queue depth controller: the engine
 	// throttles its effective admission depth within [1, HostQueueDepth]
@@ -325,9 +307,7 @@ func (c Config) coreConfig() core.Config {
 		BufferPages:       c.BufferPages,
 		MMUEntries:        c.MMUEntries,
 		ParallelFlush:     c.ParallelFlush,
-		PageTableShards:   c.PageTableShards,
 		ParallelService:   c.ParallelService,
-		BGWorkers:         c.BGWorkers,
 		Dataless:          c.Dataless,
 		DiffMaxChain:      c.DiffMaxChain,
 		FlushPolicy:       core.FlushPolicyKind(c.FlushPolicy),
@@ -364,16 +344,12 @@ func (c Config) coreConfig() core.Config {
 // inside them.
 //
 // With Config.ParallelService, the device-driving call that services
-// the queue fans admitted batches out to worker goroutines internally
-// (core.ExecBatch), but the public memory model is unchanged: the
-// device mutex is held across the whole batch, the internal lanes only
-// touch state their resource footprints cover, and they join before
-// the driving call returns. Externally observable ordering is still
-// the sequentially consistent admission order; what changes is the
-// simulated timing (batched requests overlap on the device clock, the
-// way independent banks overlap in §6) and the wall-clock throughput,
-// which now scales with GOMAXPROCS. For a fixed submission order the
-// simulation is bit-identical at any GOMAXPROCS setting.
+// the queue serves admitted batches (core.ExecBatch) under the same
+// device mutex, so the public memory model is unchanged. Externally
+// observable ordering is still the sequentially consistent admission
+// order; what changes is the simulated timing: batched requests
+// overlap on the device clock, the way independent banks overlap in
+// §6.
 //
 // The transaction (§6) is device-wide state, not per-caller — exactly
 // one may be open at a time, and Begin/Commit/Rollback from different
@@ -387,13 +363,11 @@ func (c Config) coreConfig() core.Config {
 // Submit enqueues a Request into the bounded host queue
 // (Config.HostQueueDepth slots) and returns without servicing it;
 // completion is observed through Wait, the request's Done channel, or
-// an OnComplete callback. Request validation and the first page-table
-// translation happen outside the device mutex, against the sharded
-// page table (Config.PageTableShards) — concurrent submitters
-// translate in parallel. The synchronous access methods bypass the
-// queue: they execute immediately, ahead of anything queued, so
-// callers that need ordering against in-flight requests should Drain
-// (or Wait) first.
+// an OnComplete callback. Request validation happens outside the
+// device mutex; the AtSubmit snapshot is taken under it. The
+// synchronous access methods bypass the queue: they execute
+// immediately, ahead of anything queued, so callers that need ordering
+// against in-flight requests should Drain (or Wait) first.
 //
 // Core bypasses the mutex; see its doc.
 type Device struct {
@@ -454,8 +428,8 @@ func (dev *Device) Idle(d time.Duration) {
 }
 
 // PageState is where a request's first page lived at submission time —
-// a diagnostic snapshot taken during the lock-free pre-translation, so
-// it may be stale by the instant the request is serviced.
+// a diagnostic snapshot taken when the request is enqueued, so it may
+// be stale by the instant the request is serviced.
 type PageState int
 
 const (
@@ -525,10 +499,8 @@ func (r *Request) Done() <-chan struct{} { return r.done }
 // is at capacity, Submit back-pressures: it blocks (in simulated time)
 // servicing requests until a slot frees.
 //
-// Validation and the first page-table translation run before the
-// device mutex is taken, against the sharded page table, so concurrent
-// submitters translate in parallel. A rejected request charges no
-// simulated time.
+// Validation runs before the device mutex is taken. A rejected request
+// charges no simulated time.
 //
 // At HostQueueDepth 1 the queue degenerates to the paper's
 // single-outstanding host: Submit services r synchronously and is
@@ -539,6 +511,7 @@ func (dev *Device) Submit(r *Request) error {
 	}
 	dev.mu.Lock()
 	defer dev.mu.Unlock()
+	dev.snapshotPage(r)
 	dev.eng.Submit(r.inner)
 	return nil
 }
@@ -565,29 +538,22 @@ func (dev *Device) SubmitAll(rs ...*Request) error {
 	}
 	dev.mu.Lock()
 	defer dev.mu.Unlock()
+	for _, r := range rs {
+		dev.snapshotPage(r)
+	}
 	dev.eng.SubmitAll(inners...)
 	return nil
 }
 
 // prepare validates r and builds its host-level request. It runs
 // before the device mutex is taken: CheckRange reads only immutable
-// geometry, and the diagnostic lookup takes one page-table shard's
-// read lock.
+// geometry.
 func (dev *Device) prepare(r *Request) error {
 	if r.inner != nil {
 		return fmt.Errorf("envy: Request resubmitted; requests are single-use")
 	}
 	if err := dev.d.CheckRange(r.Addr, len(r.Data)); err != nil {
 		return err
-	}
-	page := uint32(r.Addr / uint64(dev.d.Geometry().PageSize))
-	switch loc, ok := dev.d.PageTable().Lookup(page); {
-	case !ok:
-		r.AtSubmit = PageUnmapped
-	case loc.InSRAM:
-		r.AtSubmit = PageBuffered
-	default:
-		r.AtSubmit = PageFlash
 	}
 	done := make(chan struct{})
 	inner := &host.Request{Write: r.Write, Addr: r.Addr, Data: r.Data}
@@ -605,6 +571,20 @@ func (dev *Device) prepare(r *Request) error {
 	r.inner = inner
 	r.done = done
 	return nil
+}
+
+// snapshotPage records where r's first page lives right now in
+// r.AtSubmit. The caller holds dev.mu.
+func (dev *Device) snapshotPage(r *Request) {
+	page := uint32(r.Addr / uint64(dev.d.Geometry().PageSize))
+	switch loc, ok := dev.d.PageTable().Lookup(page); {
+	case !ok:
+		r.AtSubmit = PageUnmapped
+	case loc.InSRAM:
+		r.AtSubmit = PageBuffered
+	default:
+		r.AtSubmit = PageFlash
+	}
 }
 
 // Wait drives the simulation until r completes and returns its access
@@ -991,18 +971,6 @@ type Stats struct {
 	MapFlushOps OpCounters
 	MapCleanOps OpCounters
 	MapEraseOps OpCounters
-
-	// Background worker-pool accounting (Config.BGWorkers; zero when the
-	// pool is off). BGPoolWorkers is the pool's thread count;
-	// BGPoolJobs/BGPoolBytes count payload jobs and bytes moved on the
-	// bank lanes (both deterministic — they mirror the serial path's
-	// program and copy counts). BGPoolSyncWaits counts lane joins that
-	// actually blocked; it is a wall-clock-domain figure that varies run
-	// to run and must never be compared across runs.
-	BGPoolWorkers   int
-	BGPoolJobs      int64
-	BGPoolBytes     int64
-	BGPoolSyncWaits int64
 }
 
 // OpCounters is the scheduler's lifecycle accounting for one kind of
@@ -1113,10 +1081,6 @@ func (dev *Device) Stats() Stats {
 		st.MapDirectoryBytes = mt.DirectoryBytes()
 		st.MapCacheBytes = mt.CacheBytes()
 	}
-	if p := dev.d.Pool(); p != nil {
-		st.BGPoolWorkers = p.Workers()
-		st.BGPoolJobs, st.BGPoolBytes, st.BGPoolSyncWaits = p.Stats()
-	}
 	return st
 }
 
@@ -1126,19 +1090,6 @@ func (dev *Device) ResetStats() {
 	defer dev.mu.Unlock()
 	dev.d.ResetStats()
 	dev.eng.ResetStats()
-}
-
-// Close releases the background worker pool's OS threads
-// (Config.BGWorkers). The device stays fully usable afterwards —
-// payload work simply runs inline, as with BGWorkers 0 — so Close is
-// about reclaiming threads promptly, not about ending the device's
-// life. Idempotent; a no-op without a pool. Unclosed pools are reaped
-// by a finalizer, so calling Close is optional outside long-lived
-// processes that churn through many devices.
-func (dev *Device) Close() {
-	dev.mu.Lock()
-	defer dev.mu.Unlock()
-	dev.d.Close()
 }
 
 // CheckConsistency verifies the device's internal invariants and

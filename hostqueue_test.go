@@ -3,7 +3,7 @@
 // bit-identically (the golden fixtures), a full queue must
 // back-pressure instead of growing, and the write fence must order
 // same-page accesses — also under the race detector with concurrent
-// submitters translating through the sharded page table.
+// submitters.
 //
 // CI runs this file standalone as the multi-initiator torture step:
 //
@@ -155,7 +155,6 @@ func TestHostQueueGoldenDepthOne(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := sc.cfg
 			cfg.HostQueueDepth = 1
-			cfg.PageTableShards = 1
 			got := hostQueueScenario(t, cfg, sc.seed, sc.ops, sc.hotFrac)
 			raw, err := os.ReadFile(filepath.Join("testdata", "golden", sc.name+".json"))
 			if err != nil {
@@ -180,7 +179,6 @@ func TestHostQueueGoldenDepthOne(t *testing.T) {
 func TestHostQueueBackPressure(t *testing.T) {
 	cfg := goldenConfig(envy.HybridPolicy)
 	cfg.HostQueueDepth = 2
-	cfg.PageTableShards = 4
 	dev, err := envy.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -268,14 +266,12 @@ func TestHostQueueWriteFence(t *testing.T) {
 // TestHostQueueConcurrentSubmitters hammers one device from many
 // goroutines, each owning a disjoint page range: every goroutine
 // writes and reads back its own pages through Submit/Wait while the
-// others translate concurrently through the sharded page table. Run
-// under -race this is the multi-initiator torture test; the value
-// check doubles as a same-page write-after-write ordering check per
-// goroutine.
+// others submit concurrently. Run under -race this is the
+// multi-initiator torture test; the value check doubles as a same-page
+// write-after-write ordering check per goroutine.
 func TestHostQueueConcurrentSubmitters(t *testing.T) {
 	cfg := goldenConfig(envy.HybridPolicy)
 	cfg.HostQueueDepth = 4
-	cfg.PageTableShards = 8
 	dev, err := envy.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -331,5 +327,85 @@ func TestHostQueueConcurrentSubmitters(t *testing.T) {
 	dev.Drain()
 	if err := dev.CheckConsistency(); err != nil {
 		t.Fatalf("post-hammer consistency: %v", err)
+	}
+}
+
+// TestRequestAtSubmit pins the AtSubmit snapshot for each page state —
+// never written, buffered in SRAM, Flash-resident after a flush —
+// through both Submit and SubmitAll.
+func TestRequestAtSubmit(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		name := "Submit"
+		if batched {
+			name = "SubmitAll"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := goldenConfig(envy.HybridPolicy)
+			cfg.HostQueueDepth = 4
+			dev, err := envy.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const pageSize = 256
+			// Fill the buffer past its high-water mark and idle: the
+			// flush drains the oldest pages, page 0 among them, to Flash.
+			for p := 0; p < cfg.BufferPages; p++ {
+				if _, err := dev.WriteWordErr(uint64(p)*pageSize, uint32(p)+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dev.Idle(time.Second)
+			flashAddr := uint64(0)
+			bufferedAddr := uint64(cfg.BufferPages) * pageSize
+			if _, err := dev.WriteWordErr(bufferedAddr, 7); err != nil {
+				t.Fatal(err)
+			}
+			unmappedAddr := uint64(dev.Size()) - pageSize
+
+			// Guard the setup itself against the page table.
+			table := dev.Core().PageTable()
+			if loc, ok := table.Lookup(uint32(flashAddr / pageSize)); !ok || loc.InSRAM {
+				t.Fatalf("setup: page 0 is not Flash-resident after the flush (%+v, mapped %v)", loc, ok)
+			}
+			if loc, ok := table.Lookup(uint32(bufferedAddr / pageSize)); !ok || !loc.InSRAM {
+				t.Fatalf("setup: page %d is not buffered (%+v, mapped %v)", bufferedAddr/pageSize, loc, ok)
+			}
+
+			cases := []struct {
+				addr uint64
+				want envy.PageState
+			}{
+				{unmappedAddr, envy.PageUnmapped},
+				{bufferedAddr, envy.PageBuffered},
+				{flashAddr, envy.PageFlash},
+			}
+			reqs := make([]*envy.Request, len(cases))
+			for i, c := range cases {
+				reqs[i] = &envy.Request{Addr: c.addr, Data: make([]byte, 4)}
+				if reqs[i].AtSubmit != envy.PageUnknown {
+					t.Fatalf("unsubmitted request reports %v", reqs[i].AtSubmit)
+				}
+			}
+			if batched {
+				if err := dev.SubmitAll(reqs...); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, r := range reqs {
+					if err := dev.Submit(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			dev.Drain()
+			for i, c := range cases {
+				if err := reqs[i].Err; err != nil {
+					t.Fatalf("read %#x: %v", c.addr, err)
+				}
+				if got := reqs[i].AtSubmit; got != c.want {
+					t.Errorf("read %#x: AtSubmit = %v, want %v", c.addr, got, c.want)
+				}
+			}
+		})
 	}
 }

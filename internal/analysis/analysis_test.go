@@ -233,16 +233,6 @@ func TestExhaustive(t *testing.T) {
 	runFixture(t, analysis.Exhaustive, "envy/internal/flash")    // declarations only: clean
 }
 
-func TestShardlock(t *testing.T) {
-	runFixture(t, analysis.Shardlock, "envy/internal/pagetable") // ascending-order rules
-	runFixture(t, analysis.Shardlock, "envy/internal/sched")     // out of scope: clean
-}
-
-func TestBanklock(t *testing.T) {
-	runFixture(t, analysis.Banklock, "envy/internal/rlock")     // canonical-order rules
-	runFixture(t, analysis.Banklock, "envy/internal/pagetable") // out of scope: clean
-}
-
 func TestLanepurity(t *testing.T) {
 	// The sched fixture's effect facts must be in the store before the
 	// lane entries in the core fixture are checked.
@@ -259,8 +249,8 @@ func TestMaporder(t *testing.T) {
 }
 
 func TestClaimgraph(t *testing.T) {
-	// Rank violation and cycle assembled from claims' and rlock's facts.
-	runFixtureFacts(t, analysis.Claimgraph, []string{"envy/internal/claims", "envy/internal/cluster", "envy/internal/maptier", "envy/internal/rlock"}, "envy/internal/lockuser")
+	// Rank violation and cycle assembled from imported facts.
+	runFixtureFacts(t, analysis.Claimgraph, []string{"envy/internal/claims", "envy/internal/cluster", "envy/internal/maptier"}, "envy/internal/lockuser")
 	runFixture(t, analysis.Claimgraph, "envy/internal/claims")    // A→B alone, no cycle: clean
 	runFixture(t, analysis.Claimgraph, "envy/internal/cluster")   // single router lock, helpers only: clean
 	runFixture(t, analysis.Claimgraph, "envy/internal/maptier")   // single lock, helpers only: clean
@@ -337,7 +327,7 @@ func TestRepoSelfCheck(t *testing.T) {
 	}
 }
 
-// TestAll pins the suite contents: drivers and CI rely on these ten.
+// TestAll pins the suite contents: drivers and CI rely on these eight.
 func TestAll(t *testing.T) {
 	var names []string
 	for _, a := range analysis.All() {
@@ -345,7 +335,7 @@ func TestAll(t *testing.T) {
 	}
 	sort.Strings(names)
 	joined := strings.Join(names, " ")
-	if joined != "banklock claimgraph exhaustive flashstate lanepurity maporder panicpolicy schedstate shardlock simtime" {
+	if joined != "claimgraph exhaustive flashstate lanepurity maporder panicpolicy schedstate simtime" {
 		t.Fatalf("analyzer suite = %q", joined)
 	}
 }

@@ -11,23 +11,21 @@ import (
 )
 
 // Claimgraph proves the module-wide lock order instead of asserting it
-// one package at a time. Where shardlock and banklock check lexical
-// patterns inside pagetable and rlock, claimgraph extracts every lock
-// and claim acquisition in the whole program — sync.Mutex/RWMutex
+// one package at a time: it extracts every lock and claim acquisition
+// in the whole program — sync.Mutex/RWMutex
 // fields anywhere in the module, plus flash.BankSet bank claims —
 // classifies each site by its owning type and field ("resource
 // class"), and summarizes per function which classes it acquires,
 // which it still holds at return, and which it releases on behalf of
 // its caller. Summaries propagate across package boundaries as
-// function facts, so a lane goroutine that calls rlock.Table.Lock is
-// known to hold the shard/bank/shared classes through everything it
-// does next.
+// function facts, so a caller of a helper that returns holding a lock
+// is known to hold that class through everything it does next.
 //
 // Two properties are checked over the resulting acquisition graph:
 //
 //   - the canonical rank order of the known classes (device mutex →
-//     page-table shards → rlock shards → rlock banks → rlock shared →
-//     bank claims): acquiring a lower-ranked class while a
+//     cluster router → host engine → mapping tier → bank claims):
+//     acquiring a lower-ranked class while a
 //     higher-ranked one is held is reported immediately, with the
 //     cross-package call chain that reached each acquisition;
 //
@@ -36,8 +34,7 @@ import (
 //     fact, and each pass searches the accumulated global graph for a
 //     cycle through one of its own edges, reporting the full witness
 //     path. Same-class edges are exempt — ascending-index sweeps
-//     within a class are legal, and their index discipline stays with
-//     shardlock and banklock.
+//     within a class are legal.
 //
 // Deferred unlocks are honored (a function that locks and defers the
 // unlock holds nothing at return); calls through interfaces or
@@ -56,15 +53,10 @@ var claimRank = map[string]int{
 	"envy/internal/cluster.Cluster.mu":  1,
 	"envy/internal/host.Engine.mu":      2,
 	"envy/internal/maptier.Tier.mu":     3,
-	"envy/internal/pagetable.shard.mu":  4,
-	"envy/internal/rlock.Table.shards":  5,
-	"envy/internal/rlock.Table.banks":   6,
-	"envy/internal/rlock.Table.shared":  7,
-	"envy/internal/flash.BankSet.claim": 8,
-	"envy/internal/sched.poolState.mu":  9,
+	"envy/internal/flash.BankSet.claim": 4,
 }
 
-const claimRankDoc = "canonical order: Device.mu → cluster Cluster.mu → host Engine.mu → maptier Tier.mu → pagetable shards → rlock shards → rlock banks → rlock shared → bank claims → sched pool mutex"
+const claimRankDoc = "canonical order: Device.mu → cluster Cluster.mu → host Engine.mu → maptier Tier.mu → bank claims"
 
 // bankClaimClass is the pseudo-lock class for BankSet claims. Claims
 // are ownership tokens held across suspend/resume, not scoped critical
@@ -576,4 +568,24 @@ func receiverClaimClass(pass *Pass, expr ast.Expr) (class string, idx int64, has
 // module-owned type.
 func inModulePath(class string) bool {
 	return class == "envy" || strings.HasPrefix(class, "envy.") || strings.HasPrefix(class, "envy/")
+}
+
+// mutexMethod reports whether sel names a method of sync.Mutex or
+// sync.RWMutex.
+func mutexMethod(pass *Pass, sel *ast.SelectorExpr) bool {
+	selection := pass.TypesInfo.Selections[sel]
+	if selection == nil || selection.Kind() != types.MethodVal {
+		return false
+	}
+	recv := selection.Recv()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
+		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }

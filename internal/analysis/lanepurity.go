@@ -19,10 +19,10 @@ import (
 // context" fact through calls (across package boundaries, via
 // function facts), and flags every reachable write to a package-level
 // variable or to device-shared structures (Device, Scheduler, flash
-// Array/BankSet, SRAM Buffer, page table, rlock Table, cleaner
-// Engine). Such writes race between lanes and, even when benign, make
-// simulated outcome depend on goroutine interleaving; they belong in
-// the serial admission or merge phases. The analyzer resolves only
+// Array/BankSet, SRAM Buffer, page table, cleaner Engine). Every lane
+// of a batch must see the state its footprint was admitted against;
+// such a write would let one lane's outcome depend on the lanes served
+// before it, so it belongs in the serial admission or merge phases. The analyzer resolves only
 // static calls (direct and concrete-method); the core deliberately
 // avoids dynamic dispatch on lane paths.
 var Lanepurity = &Analyzer{
@@ -42,8 +42,8 @@ const laneEntryDirective = "//envyvet:lane-entry"
 // laneSharedTypes are the structures shared between lanes (and with
 // the background machinery). Writing through any of them from lane
 // context is a violation. Deliberately absent: sram.Frame and
-// pagetable.MMU (footprint-covered — the admission lock guarantees
-// exclusive access to the frames and MMU a lane touches),
+// pagetable.MMU (footprint-covered — no other batch member touches the
+// frames and shard MMU a lane uses),
 // sim.LaneClock and the stats types (lane-local by construction).
 var laneSharedTypes = map[string]bool{
 	"envy/internal/core.Device":             true,
@@ -54,8 +54,6 @@ var laneSharedTypes = map[string]bool{
 	"envy/internal/flash.segment":           true,
 	"envy/internal/sram.Buffer":             true,
 	"envy/internal/pagetable.Table":         true,
-	"envy/internal/pagetable.shard":         true,
-	"envy/internal/rlock.Table":             true,
 	"envy/internal/cleaner.Engine":          true,
 	"envy/internal/cleaner.Selector":        true,
 	"envy/internal/maptier.Tier":            true,

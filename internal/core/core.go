@@ -32,7 +32,6 @@ import (
 	"envy/internal/flash"
 	"envy/internal/maptier"
 	"envy/internal/pagetable"
-	"envy/internal/rlock"
 	"envy/internal/sched"
 	"envy/internal/sim"
 	"envy/internal/sram"
@@ -96,23 +95,16 @@ type Config struct {
 	// Banks) operations overlap almost perfectly. Default 1 (off).
 	ParallelFlush int
 
-	// PageTableShards splits the page table into this many logical-page
-	// range shards, each behind its own lock, so concurrent host
-	// initiators (internal/host via envy.Device.Submit) can translate in
-	// parallel without the device mutex. Sharding is a wall-clock
-	// concern only — it never changes simulated timing. Default 1.
-	PageTableShards int
-
-	// ParallelService enables the lock-decomposed parallel host service
-	// path: the host engine admits batches of requests with disjoint
-	// resource footprints (page-table shards + Flash banks, resolved at
-	// admission) and executes them concurrently on real OS threads, each
-	// lane holding its resources via the device's lock table
-	// (internal/rlock) and advancing a private lane clock that merges
-	// deterministically (sim.ShardedClock). The MMU translation cache is
-	// partitioned per page-table shard in this mode, so concurrent lanes
-	// never share cache state. Default off: requests service one at a
-	// time exactly as PR 4's engine did.
+	// ParallelService enables the batched host service path: the host
+	// engine admits batches of requests with disjoint resource
+	// footprints (logical-page shards + Flash banks, resolved at
+	// admission) and ExecBatch serves them on execution lanes that all
+	// start at the batch's base time, each advancing a private lane
+	// clock; the device clock lands on the latest lane end
+	// (sim.ShardedClock). The logical space is split into 4×Banks
+	// contiguous shards, each with its own MMU translation cache, so
+	// batch members never share cache state. Default off: requests
+	// service one at a time.
 	ParallelService bool
 
 	// MapTier, if non-nil, replaces the flat battery-backed SRAM page
@@ -136,16 +128,6 @@ type Config struct {
 	// (default 3): a page whose chain is at the bound has its next
 	// flush promoted to a full page, which supersedes the chain.
 	DiffMaxChain int
-
-	// BGWorkers, when positive, runs the background path's physical
-	// byte movement — flush-program payload copies and cleaning
-	// relocation copies — on a pool of that many worker OS threads with
-	// one FIFO job lane per Flash bank (internal/sched.Pool). The
-	// scheduler's decision loop stays serial, so the simulated outcome
-	// is bit-identical at any worker count (and with the pool off);
-	// only wall-clock time changes. Clamped to Banks. Ignored with
-	// Dataless (there are no payloads to move). Default 0: off.
-	BGWorkers int
 
 	// Dataless disables payload storage (timing-only simulation).
 	Dataless bool
@@ -201,9 +183,6 @@ func (c *Config) setDefaults() error {
 	if c.ParallelFlush == 0 {
 		c.ParallelFlush = 1
 	}
-	if c.PageTableShards == 0 {
-		c.PageTableShards = 1
-	}
 	if c.ParallelFlush > c.Geometry.Banks {
 		c.ParallelFlush = c.Geometry.Banks
 	}
@@ -239,15 +218,6 @@ func (c *Config) setDefaults() error {
 	if c.DiffMaxChain < 0 {
 		return fmt.Errorf("core: DiffMaxChain %d must be positive", c.DiffMaxChain)
 	}
-	if c.BGWorkers < 0 {
-		return fmt.Errorf("core: BGWorkers %d must not be negative", c.BGWorkers)
-	}
-	if c.BGWorkers > c.Geometry.Banks {
-		c.BGWorkers = c.Geometry.Banks
-	}
-	if c.Dataless {
-		c.BGWorkers = 0
-	}
 	if c.Cleaning.LogicalPages == 0 {
 		pages := int(c.UtilizationTarget * float64(c.Geometry.Pages()))
 		max := (c.Geometry.Segments - 1) * c.Geometry.PagesPerSegment
@@ -270,15 +240,15 @@ type Device struct {
 	eng   *cleaner.Engine
 
 	// mmus, non-nil only with Config.ParallelService, partitions the
-	// translation cache per page-table shard so parallel execution lanes
-	// holding distinct shard locks never share MMU state. All MMU access
-	// routes through mmuFor.
-	mmus []*pagetable.MMU
-
-	// rlocks is the resource lock table for the parallel service path
-	// (one mutex per page-table shard and Flash bank); nil when
-	// ParallelService is off.
-	rlocks *rlock.Table
+	// translation cache per logical-page shard (shardPages contiguous
+	// pages each) so batch members with disjoint footprints never share
+	// MMU state. Each shard carries a full-size cache, the way each
+	// memory channel of a multi-ported controller carries its own TLB;
+	// dividing one cache across shards would partition the capacity
+	// unevenly against the workload's skew. All MMU access routes
+	// through mmuFor.
+	mmus       []*pagetable.MMU
+	shardPages int
 
 	// mt is the two-tier page table (Config.MapTier); nil keeps the
 	// flat-SRAM translation cost model.
@@ -296,10 +266,6 @@ type Device struct {
 	// occupies; sched executes those operations over simulated time.
 	banks *flash.BankSet
 	sched *sched.Scheduler
-
-	// pool, with Config.BGWorkers, carries the background path's
-	// payload memcpys on per-bank worker lanes; nil runs them inline.
-	pool *sched.Pool
 
 	// finishFlushFn is the shared flush-completion callback
 	// (Op.DonePage), bound once so the hot path allocates no closure
@@ -373,7 +339,7 @@ func New(cfg Config) (*Device, error) {
 		cfg:      cfg,
 		arr:      arr,
 		buf:      sram.NewBuffer(cfg.BufferPages, cfg.Geometry.PageSize, cfg.Dataless),
-		table:    pagetable.NewSharded(cfg.Cleaning.LogicalPages, cfg.PageTableShards),
+		table:    pagetable.New(cfg.Cleaning.LogicalPages),
 		mmu:      pagetable.NewMMU(cfg.MMUEntries, cfg.PTLookup),
 		flushPPN: make(map[uint32]uint32),
 		shadows:  make(map[uint32]*shadow),
@@ -391,15 +357,13 @@ func New(cfg Config) (*Device, error) {
 		d.eng.SetConsolidate(d.consolidateForClean)
 	}
 	if cfg.ParallelService {
-		d.mmus = newShardMMUs(cfg)
-		d.rlocks = rlock.NewTable(cfg.PageTableShards, cfg.Geometry.Banks)
+		shards := min(serviceShardsPerBank*cfg.Geometry.Banks, cfg.Cleaning.LogicalPages)
+		d.shardPages = (cfg.Cleaning.LogicalPages + shards - 1) / shards
+		d.mmus = make([]*pagetable.MMU, shards)
+		d.resetMMUs()
 	}
 	d.banks = flash.NewBankSet(cfg.Geometry.Banks)
 	d.finishFlushFn = d.finishFlush
-	if cfg.BGWorkers > 0 {
-		d.pool = sched.NewPool(cfg.BGWorkers, cfg.Geometry.Banks)
-		d.arr.SetLanes(d.pool)
-	}
 	// One lane reproduces the paper's base controller (one background
 	// operation at a time). With ParallelFlush above 1, the banks run
 	// autonomously — every bank may host its own program or erase —
@@ -515,12 +479,6 @@ func (d *Device) latchCrash() {
 		return
 	}
 	d.crashed = true
-	// Every deferred payload job lands before anything is torn: the
-	// chips' already-transferred bytes are not what a power failure
-	// interrupts — the in-flight programs are, and TearInFlight below
-	// models those. Joining first keeps torn images bit-identical to
-	// the serial (pool-off) crash states.
-	d.arr.SyncLanes()
 	for _, lpn := range sortedKeys(d.flushPPN) {
 		ppn := d.flushPPN[lpn]
 		d.arr.TearInFlight(ppn, uint64(d.now)^uint64(ppn)*0x9e3779b97f4a7c15)
@@ -664,21 +622,6 @@ func (d *Device) MMUHitRate() float64 {
 // statistics, utilization).
 func (d *Device) Array() *flash.Array { return d.arr }
 
-// Pool exposes the background worker pool, or nil when Config.BGWorkers
-// is 0 and the background path runs inline.
-func (d *Device) Pool() *sched.Pool { return d.pool }
-
-// Close joins and stops the background worker pool. The device stays
-// usable afterwards — payload work simply runs inline, as with
-// BGWorkers 0 — so callers that crash and re-mount the same Device need
-// not reopen anything. Safe to call multiple times and on devices built
-// without a pool (pools left unclosed are reaped by a finalizer).
-func (d *Device) Close() {
-	if d.pool != nil {
-		d.pool.Close()
-	}
-}
-
 // BufferLen returns the current write-buffer occupancy in pages.
 func (d *Device) BufferLen() int { return d.buf.Len() }
 
@@ -758,8 +701,8 @@ func (d *Device) PowerCycle() {
 // resetMMUs discards every volatile translation cache (power loss).
 func (d *Device) resetMMUs() {
 	d.mmu = pagetable.NewMMU(d.cfg.MMUEntries, d.cfg.PTLookup)
-	if d.mmus != nil {
-		d.mmus = newShardMMUs(d.cfg)
+	for i := range d.mmus {
+		d.mmus[i] = pagetable.NewMMU(d.cfg.MMUEntries, d.cfg.PTLookup)
 	}
 }
 
@@ -885,21 +828,14 @@ func (d *Device) tierDrain() {
 // off.
 func (d *Device) MapTier() *maptier.Tier { return d.mt }
 
-// newShardMMUs builds the per-shard translation caches for the
-// parallel service path. Each shard carries a full-size cache: the
-// lock-decomposed controller replicates the MMU block per shard so
-// concurrent lanes never share a lookup path, the way each memory
-// channel of a multi-ported controller carries its own TLB. (Dividing
-// one cache across shards would instead partition the capacity
-// unevenly against the workload's skew and cost hits relative to the
-// serial controller.)
-func newShardMMUs(cfg Config) []*pagetable.MMU {
-	mmus := make([]*pagetable.MMU, cfg.PageTableShards)
-	for i := range mmus {
-		mmus[i] = pagetable.NewMMU(cfg.MMUEntries, cfg.PTLookup)
-	}
-	return mmus
-}
+// serviceShardsPerBank sets the logical-page shard count under
+// ParallelService: four shards per bank, so requests landing in nearby
+// logical regions still get disjoint footprints.
+const serviceShardsPerBank = 4
+
+// shardOf returns the logical-page shard owning a page (ParallelService
+// only).
+func (d *Device) shardOf(page uint32) int { return int(page) / d.shardPages }
 
 // mmuFor returns the translation cache responsible for a logical page:
 // the single device MMU normally, the page's shard MMU under
@@ -909,12 +845,12 @@ func (d *Device) mmuFor(page uint32) *pagetable.MMU {
 	if d.mmus == nil {
 		return d.mmu
 	}
-	return d.mmus[d.table.ShardOf(page)]
+	return d.mmus[d.shardOf(page)]
 }
 
-// ParallelEnabled reports whether the lock-decomposed parallel service
-// path is configured on this device.
-func (d *Device) ParallelEnabled() bool { return d.rlocks != nil }
+// ParallelEnabled reports whether the batched parallel service path is
+// configured on this device.
+func (d *Device) ParallelEnabled() bool { return d.mmus != nil }
 
 // Suspensions returns the total number of background-operation
 // suspensions across all op kinds — the host engine's adaptive depth
@@ -1149,7 +1085,6 @@ func (d *Device) write(addr uint64, p []byte) (sim.Duration, error) {
 			// The in-flight Flash copy is stale the moment this write
 			// lands; it will be invalidated when the program finishes.
 			frame.Dirtied = true
-			d.syncFlushTarget(page)
 		}
 	}
 	d.completeAccess(100*sim.Nanosecond, stats.Writing) // SRAM write cycle
@@ -1162,19 +1097,6 @@ func (d *Device) write(addr uint64, p []byte) (sim.Duration, error) {
 	lat := d.now.Sub(start)
 	d.writeLat.Record(lat)
 	return lat, nil
-}
-
-// syncFlushTarget joins any worker-lane payload copy still reading the
-// SRAM frame of an in-flight full-page flush of lpn, so the host write
-// about to mutate the frame cannot race the chip transfer. The deferred
-// job holds a reference to frame.Data itself; the Flash image must
-// capture the pre-write bytes, exactly as the serial path does.
-// Diff-policy flushes snapshot their payloads at expand time and never
-// alias the frame, so only flushPPN reservations matter here.
-func (d *Device) syncFlushTarget(lpn uint32) {
-	if ppn, ok := d.flushPPN[lpn]; ok {
-		d.arr.SyncPending(ppn)
-	}
 }
 
 // copyOnWrite moves a page's current contents into a fresh SRAM frame

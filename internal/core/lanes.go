@@ -2,23 +2,19 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"envy/internal/rlock"
 	"envy/internal/sim"
 	"envy/internal/stats"
 )
 
-// Parallel host service (the lock-decomposed front end). The host
-// engine (internal/host) admits a batch of requests whose resource
-// footprints — page-table shards plus Flash banks, resolved here at
-// admission — are pairwise disjoint, then calls ExecBatch. Each request
-// runs on its own execution lane: a goroutine holding the footprint's
-// locks (internal/rlock) and advancing a private lane clock. Lanes only
-// ever touch state their footprint covers — shard-local page-table
-// entries and MMU caches, bank-local Flash pages, and the payload bytes
-// of frames already in the SRAM buffer — so disjoint lanes are data-race
-// free on real OS threads.
+// Parallel host service (batched service). The host engine
+// (internal/host) admits a batch of requests whose resource footprints
+// — logical-page shards plus Flash banks, resolved here at admission —
+// are pairwise disjoint, then calls ExecBatch. Each request runs on its
+// own execution lane: a private lane clock plus private copies of the
+// statistics it updates. Lanes are served one after another in
+// admission order on the calling goroutine; parallelism lives on the
+// simulated clock, not on OS threads.
 //
 // Everything a lane may not touch is resolved at admission: a request
 // that would mutate shared state (copy-on-write needing the buffer
@@ -31,10 +27,71 @@ import (
 // requests genuinely overlap on the simulated device, the way
 // independent banks overlap in §6) and the device clock advances to the
 // deterministic maximum of the lane ends (sim.ShardedClock). Background
-// interaction is replayed serially after the lanes join: each lane's
-// access windows are run through sched.Overlap in admission order, so
-// any given admission order replays bit-identically regardless of
-// GOMAXPROCS or goroutine scheduling.
+// interaction is replayed after every lane has run: each lane's access
+// windows are run through sched.Overlap in admission order.
+
+// Footprint is the resource set one lane access needs: the
+// logical-page shards and Flash banks it touches, both sorted ascending
+// and deduplicated (AddShard/AddBank maintain this). Batch members must
+// have pairwise disjoint footprints.
+type Footprint struct {
+	Shards []int
+	Banks  []int
+}
+
+// insertSorted adds v to a sorted slice, keeping it sorted and
+// duplicate-free.
+func insertSorted(s []int, v int) []int {
+	i := 0
+	for i < len(s) && s[i] < v {
+		i++
+	}
+	if i < len(s) && s[i] == v {
+		return s
+	}
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// AddShard records a logical-page shard in the footprint.
+func (f *Footprint) AddShard(shard int) { f.Shards = insertSorted(f.Shards, shard) }
+
+// AddBank records a Flash bank in the footprint. Negative banks (the
+// "no bank" convention for SRAM and unmapped accesses) are ignored.
+func (f *Footprint) AddBank(bank int) {
+	if bank < 0 {
+		return
+	}
+	f.Banks = insertSorted(f.Banks, bank)
+}
+
+// Disjoint reports whether two footprints share no shard and no bank.
+func (f *Footprint) Disjoint(g *Footprint) bool {
+	return disjointSorted(f.Shards, g.Shards) && disjointSorted(f.Banks, g.Banks)
+}
+
+// disjointSorted reports whether two ascending slices share no element.
+func disjointSorted(a, b []int) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// String renders the footprint for diagnostics.
+func (f *Footprint) String() string {
+	return fmt.Sprintf("footprint{shards %v banks %v}", f.Shards, f.Banks)
+}
 
 // BatchAccess is one request in a parallel service batch. The host
 // engine fills the request fields and the footprint from Footprint;
@@ -43,7 +100,7 @@ type BatchAccess struct {
 	Write bool
 	Addr  uint64
 	Data  []byte
-	FP    *rlock.Footprint
+	FP    *Footprint
 
 	// Results: the host-observed latency, the lane's completion time,
 	// and the first word error, if any (time up to the error is kept,
@@ -54,21 +111,21 @@ type BatchAccess struct {
 }
 
 // Footprint resolves the resource footprint a host access needs for
-// lane execution: the page-table shards its page span covers plus the
+// lane execution: the logical-page shards its page span covers plus the
 // Flash banks its data currently lives on (SRAM-buffered and unmapped
 // pages take no bank). ok is false when the access cannot run on a
 // lane and must take the serial path instead: the device is crashed, a
 // crash injector is armed, a transaction is open, the range is invalid,
 // or a write would need a copy-on-write (buffer allocator = shared
 // state). Resolution itself charges no time and changes no state.
-func (d *Device) Footprint(addr uint64, n int, write bool) (*rlock.Footprint, bool) {
-	if d.rlocks == nil || d.crashed || d.inj != nil || d.inTxn {
+func (d *Device) Footprint(addr uint64, n int, write bool) (*Footprint, bool) {
+	if d.mmus == nil || d.crashed || d.inj != nil || d.inTxn {
 		return nil, false
 	}
 	if _, err := d.checkAddr(addr, n); err != nil {
 		return nil, false
 	}
-	f := &rlock.Footprint{}
+	f := &Footprint{}
 	ps := uint64(d.cfg.Geometry.PageSize)
 	last := addr
 	if n > 0 {
@@ -76,7 +133,7 @@ func (d *Device) Footprint(addr uint64, n int, write bool) (*rlock.Footprint, bo
 	}
 	for page := addr / ps; page <= last/ps; page++ {
 		lpn := uint32(page)
-		f.AddShard(d.table.ShardOf(lpn))
+		f.AddShard(d.shardOf(lpn))
 		loc, mapped := d.table.Lookup(lpn)
 		switch {
 		case !mapped:
@@ -119,8 +176,8 @@ func (ln *lane) window(bank int, end sim.Time) {
 }
 
 // lane is the per-request execution state: a private clock plus private
-// copies of every statistic the access paths update, merged serially
-// after the lanes join.
+// copies of every statistic the access paths update, merged after every
+// lane of the batch has run.
 type lane struct {
 	d   *Device
 	clk *sim.LaneClock
@@ -132,17 +189,16 @@ type lane struct {
 	writeLat stats.Latency
 	windows  []accessWindow
 
-	err      error
-	panicked any
+	err error
 }
 
 // ExecBatch services a batch of admitted requests with pairwise
-// disjoint footprints, one execution lane per request, then merges the
-// outcome deterministically. Callers (the host engine) must have
+// disjoint footprints, one execution lane per request in admission
+// order, then merges the outcome. Callers (the host engine) must have
 // resolved every footprint via Footprint with no device activity in
 // between.
 func (d *Device) ExecBatch(batch []*BatchAccess) {
-	if d.rlocks == nil {
+	if d.mmus == nil {
 		panic("core: ExecBatch on a device without ParallelService")
 	}
 	for i, a := range batch {
@@ -155,24 +211,9 @@ func (d *Device) ExecBatch(batch []*BatchAccess) {
 	}
 	clk := sim.NewShardedClock(d.now, len(batch))
 	lanes := make([]*lane, len(batch))
-	var wg sync.WaitGroup
 	for i, a := range batch {
-		ln := &lane{d: d, clk: clk.Lane(i)}
-		lanes[i] = ln
-		wg.Add(1)
-		go func(ln *lane, a *BatchAccess) {
-			defer wg.Done()
-			d.rlocks.Lock(a.FP)
-			defer d.rlocks.Unlock(a.FP)
-			ln.serve(a)
-		}(ln, a)
-	}
-	wg.Wait()
-	for _, ln := range lanes {
-		if ln.panicked != nil {
-			//envyvet:allow panicpolicy — re-raising a lane's captured panic value verbatim
-			panic(ln.panicked)
-		}
+		lanes[i] = &lane{d: d, clk: clk.Lane(i)}
+		lanes[i].serve(a)
 	}
 	// Merge phase, in admission order: fold lane statistics into the
 	// device, replay each lane's access windows through the background
@@ -207,14 +248,8 @@ func (d *Device) ExecBatch(batch []*BatchAccess) {
 }
 
 // serve runs one request on its lane, mirroring the serial Read/Write
-// word loop. Panics are captured and re-raised by the merge phase so a
-// programming-error trap in one lane does not deadlock the batch.
+// word loop.
 func (ln *lane) serve(a *BatchAccess) {
-	defer func() {
-		if r := recover(); r != nil {
-			ln.panicked = r
-		}
-	}()
 	p := a.Data
 	for off := 0; off < len(p); off += 4 {
 		end := off + 4
@@ -235,8 +270,8 @@ func (ln *lane) serve(a *BatchAccess) {
 }
 
 // translate mirrors Device.translate with lane-local counters. The
-// shard MMU is exclusive to this lane: the footprint holds the shard
-// lock.
+// shard MMU is exclusive to this lane within the batch: no other
+// member's footprint covers the shard.
 func (ln *lane) translate(page uint32) sim.Duration {
 	cost := ln.d.mmuFor(page).Translate(page)
 	if cost == 0 {
@@ -260,7 +295,7 @@ func (ln *lane) read(addr uint64, p []byte) error {
 	}
 	lat := ln.translate(page)
 	bank := -1
-	loc, mapped := d.table.LookupOwned(page) // footprint holds the shard lock
+	loc, mapped := d.table.Lookup(page)
 	switch {
 	case !mapped:
 		lat += d.arr.ReadTime()
@@ -320,10 +355,6 @@ func (ln *lane) write(addr uint64, p []byte) error {
 		// The in-flight Flash copy is stale the moment this write
 		// lands; it will be invalidated when the program finishes.
 		frame.Dirtied = true
-		// Pool.Sync is safe from service-lane goroutines, and flushPPN
-		// is only mutated by the serial background step, which never
-		// runs concurrently with a parallel service window.
-		d.syncFlushTarget(page)
 	}
 	lat += 100 * sim.Nanosecond // SRAM write cycle
 	if frame.Data != nil {

@@ -4,37 +4,23 @@ import (
 	"fmt"
 
 	"envy/internal/core"
-	"envy/internal/host"
-	"envy/internal/rlock"
 	"envy/internal/sim"
-	"envy/internal/stats"
 	"envy/internal/tpca"
 )
 
-// The parhost experiment measures the lock-decomposed parallel host
-// service (core lanes + host batch admission) two ways:
-//
-//   - ParallelHost drives the saturated TPC-A workload through the
-//     parallel driver: disjoint-footprint requests overlap on the
-//     simulated timeline, so sustained TPS rises above the serial
-//     depth-4 figure, and clean-copy traffic overlaps flush programming
-//     on distinct banks (FlushCleanOverlap > 0).
-//
-//   - ParallelWall is the wall-clock companion: a page-read-heavy
-//     workload whose batches put real computation on every lane, so its
-//     host-observed wall time (measured by cmd/experiments — the wall
-//     clock is banned here) scales with GOMAXPROCS.
+// The parhost experiment measures the batched parallel host service
+// (core lanes + host batch admission): ParallelHost drives the
+// saturated TPC-A workload through the parallel driver, so
+// disjoint-footprint requests overlap on the simulated timeline,
+// sustained TPS rises above the serial depth-4 figure, and clean-copy
+// traffic overlaps flush programming on distinct banks
+// (FlushCleanOverlap > 0).
 
 // parallelMod configures a scale's system device for parallel service:
-// lanes on, one flush engine per bank, and four page-table shards per
-// bank — finer sharding than the bank count costs nothing on the
-// simulated clock (shard locks are admission-time resources, not timed
-// hardware) and admits more disjoint-footprint batches from requests
-// that land in nearby logical regions.
+// batched service on and one flush engine per bank.
 func parallelMod(sc Scale) func(*core.Config) {
 	return func(c *core.Config) {
 		c.ParallelFlush = sc.SystemGeometry.Banks
-		c.PageTableShards = 4 * sc.SystemGeometry.Banks
 		c.ParallelService = true
 	}
 }
@@ -99,7 +85,7 @@ func ParallelHost(sc Scale) ([]ParallelHostPoint, error) {
 // ParallelHostTable formats the parallel-service sweep.
 func ParallelHostTable(pts []ParallelHostPoint) Table {
 	t := Table{
-		Title:  "parallel host service: lock-decomposed device core",
+		Title:  "parallel host service: batched device core",
 		Note:   "batched requests overlap on the simulated timeline; overlap = flush programs running concurrently with cleaning copies",
 		Header: []string{"depth", "sustained TPS", "batches", "batched reqs", "max batch", "clean/flush overlap", "write mean"},
 	}
@@ -126,154 +112,6 @@ func ParallelHostMetrics(pts []ParallelHostPoint) map[string]float64 {
 		m[prefix+"write_ns"] = float64(p.WriteMean)
 	}
 	return m
-}
-
-// ParallelWallResult summarizes one wall-clock workload run. Wall time
-// itself is measured by the caller around ParallelWall.
-type ParallelWallResult struct {
-	Lanes     int   // concurrent disjoint readers found
-	Rounds    int   // batches issued
-	Requests  int64 // host requests completed
-	BytesRead int64
-	MaxBatch  int
-	SimTime   sim.Duration
-}
-
-// ParallelWallRounds is the default round count for the wall-clock
-// workload: enough lane computation that thread-level parallelism,
-// not setup, dominates the measurement.
-const ParallelWallRounds = 400
-
-// ParallelWallRig is a prepared wall-clock workload: a fully loaded
-// parallel-service device plus the disjoint read regions to drive.
-// Preparation (device build, preload, region selection) is inherently
-// serial, so it lives outside the timed drive loop — callers time
-// Drive alone.
-type ParallelWallRig struct {
-	dev     *core.Device
-	eng     *host.Engine
-	regions []uint64
-	bufs    [][]byte
-}
-
-// Lanes returns how many concurrent disjoint readers the rig found.
-func (r *ParallelWallRig) Lanes() int { return len(r.regions) }
-
-// ParallelWallPrepare builds the wall-clock workload: a fully loaded
-// parallel-service device and one segment-sized read region per bank
-// with pairwise disjoint footprints (shards and banks).
-func ParallelWallPrepare(sc Scale) (*ParallelWallRig, error) {
-	cfg := systemConfig(sc)
-	parallelMod(sc)(&cfg)
-	dev, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	// Load every logical page so reads are Flash-resident (and so carry
-	// bank claims, exercising the bank half of the footprint).
-	pageSize := cfg.Geometry.PageSize
-	logicalPages := int(dev.Size() / int64(pageSize))
-	chunk := make([]byte, 64*pageSize)
-	for i := range chunk {
-		chunk[i] = byte(i * 2654435761)
-	}
-	for addr := int64(0); addr < dev.Size(); addr += int64(len(chunk)) {
-		n := dev.Size() - addr
-		if n > int64(len(chunk)) {
-			n = int64(len(chunk))
-		}
-		if err := dev.Preload(chunk[:n], uint64(addr)); err != nil {
-			return nil, err
-		}
-	}
-	dev.ResetStats()
-
-	// Pick one region per bank: segment-sized, segment-aligned reads
-	// whose footprints are pairwise disjoint. Placement is whatever the
-	// flush engine chose during the load, so disjointness is resolved
-	// through the admission primitive itself rather than assumed.
-	segPages := cfg.Geometry.PagesPerSegment
-	segBytes := segPages * pageSize
-	var regions []uint64
-	var fps []*rlock.Footprint
-	for page := 0; page+segPages <= logicalPages && len(regions) < cfg.Geometry.Banks; page += segPages {
-		addr := uint64(page) * uint64(pageSize)
-		fp, ok := dev.Footprint(addr, segBytes, false)
-		if !ok {
-			return nil, fmt.Errorf("experiments: no footprint for preloaded region at %#x", addr)
-		}
-		disjoint := true
-		for _, g := range fps {
-			if !fp.Disjoint(g) {
-				disjoint = false
-				break
-			}
-		}
-		if disjoint {
-			regions = append(regions, addr)
-			fps = append(fps, fp)
-		}
-	}
-	if len(regions) < 2 {
-		return nil, fmt.Errorf("experiments: found %d disjoint regions, need at least 2", len(regions))
-	}
-
-	dev.SetHostConcurrency(len(regions))
-	eng := host.New(dev, len(regions), pageSize)
-	eng.SetParallel(dev)
-
-	bufs := make([][]byte, len(regions))
-	for i := range bufs {
-		bufs[i] = make([]byte, segBytes)
-	}
-	return &ParallelWallRig{dev: dev, eng: eng, regions: regions, bufs: bufs}, nil
-}
-
-// Drive issues `rounds` batches of simultaneous disjoint reads
-// through the host engine. Each lane's work — word-granularity Flash
-// reads of a whole segment — is real computation, so wall time scales
-// with GOMAXPROCS while the simulated outcome stays bit-identical.
-// Drive may be called repeatedly on one rig (the workload is
-// read-only); each call measures its own span of the simulated clock.
-func (r *ParallelWallRig) Drive(rounds int) (ParallelWallResult, error) {
-	res := ParallelWallResult{Lanes: len(r.regions), Rounds: rounds}
-	start := r.dev.Now()
-	served := r.eng.Served()
-	for round := 0; round < rounds; round++ {
-		reqs := make([]*host.Request, len(r.regions))
-		for i, addr := range r.regions {
-			reqs[i] = &host.Request{Addr: addr, Data: r.bufs[i]}
-		}
-		r.eng.SubmitAll(reqs...)
-		r.eng.Drain()
-		for _, q := range reqs {
-			if q.Err != nil {
-				return res, q.Err
-			}
-			res.BytesRead += int64(len(q.Data))
-		}
-	}
-	res.Requests = r.eng.Served() - served
-	res.MaxBatch = r.eng.MaxBatch()
-	res.SimTime = r.dev.Now().Sub(start)
-	return res, nil
-}
-
-// Counters exposes the rig device's operation counters so callers can
-// verify that drives at different GOMAXPROCS produced identical
-// simulated outcomes.
-func (r *ParallelWallRig) Counters() stats.Counters { return r.dev.Counters() }
-
-// ParallelWall prepares the wall-clock workload and drives it once.
-// Callers that want to time the drive loop alone (cmd/experiments)
-// use ParallelWallPrepare + Drive directly.
-func ParallelWall(sc Scale, rounds int) (ParallelWallResult, error) {
-	rig, err := ParallelWallPrepare(sc)
-	if err != nil {
-		return ParallelWallResult{}, err
-	}
-	return rig.Drive(rounds)
 }
 
 // RunRateWith exposes the aged-and-warmed single-rate runner for

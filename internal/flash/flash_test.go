@@ -180,6 +180,48 @@ func TestDataless(t *testing.T) {
 	}
 }
 
+// TestCopyPage pins the cleaner's relocation primitive: the copy lands
+// with the source's bytes and the given owner, the source stays Valid
+// (invalidation is the caller's job), and the source segment can be
+// erased and reused without disturbing the copy — within a bank and
+// across banks. On a dataless array the copy tracks state only.
+func TestCopyPage(t *testing.T) {
+	geo := testGeometry()
+	a := mustNew(t, geo)
+	src := geo.PPN(0, 0)
+	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	a.Program(src, 9, payload)
+	for _, dstSeg := range []int{2, 1} { // segment 2 shares bank 0; segment 1 is bank 1
+		dst := geo.PPN(dstSeg, 0)
+		a.CopyPage(dst, src, 9)
+		if a.State(dst) != Valid || a.Owner(dst) != 9 {
+			t.Fatalf("segment %d: copy state %v owner %d", dstSeg, a.State(dst), a.Owner(dst))
+		}
+		if a.State(src) != Valid {
+			t.Fatalf("segment %d: CopyPage changed the source's state to %v", dstSeg, a.State(src))
+		}
+		if !bytes.Equal(a.Page(dst), payload) {
+			t.Fatalf("segment %d: copy = %v, want %v", dstSeg, a.Page(dst), payload)
+		}
+	}
+	if a.Programs() != 3 {
+		t.Errorf("Programs = %d, want 3 (one program plus two copies)", a.Programs())
+	}
+	a.Invalidate(src)
+	a.Erase(0)
+	a.Program(src, 1, []byte{0xAA})
+	if got := a.Page(geo.PPN(2, 0)); !bytes.Equal(got, payload) {
+		t.Errorf("copy changed after its source segment was recycled: %v", got)
+	}
+
+	d := mustNew(t, geo, Dataless())
+	d.Program(src, 4, payload)
+	d.CopyPage(geo.PPN(1, 0), src, 4)
+	if d.State(geo.PPN(1, 0)) != Valid || d.Page(geo.PPN(1, 0)) != nil {
+		t.Error("dataless CopyPage must track state and store no bytes")
+	}
+}
+
 func TestShortPayloadZeroFilled(t *testing.T) {
 	a := mustNew(t, testGeometry())
 	ppn := a.Geometry().PPN(0, 0)

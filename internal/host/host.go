@@ -35,7 +35,7 @@ package host
 import (
 	"fmt"
 
-	"envy/internal/rlock"
+	"envy/internal/core"
 	"envy/internal/sim"
 	"envy/internal/stats"
 )
@@ -107,10 +107,9 @@ type Engine struct {
 	gauge    stats.DepthGauge
 	served   int64
 
-	// par, when set via SetParallel, is the backend's lock-decomposed
-	// parallel service surface: the pump then dispatches batches of
-	// disjoint-footprint requests to real OS threads (parallel.go). Nil
-	// keeps the one-at-a-time service.
+	// par, when set via SetParallel, is the backend's batched service
+	// surface: the pump then dispatches batches of disjoint-footprint
+	// requests (parallel.go). Nil keeps the one-at-a-time service.
 	par ParallelBackend
 
 	// Batch dispatch accounting (parallel path only); fps is the
@@ -119,7 +118,7 @@ type Engine struct {
 	batches  int64
 	batched  int64
 	maxBatch int
-	fps      []*rlock.Footprint
+	fps      []*core.Footprint
 
 	// Adaptive depth controller state (adaptive.go); effDepth is the
 	// current admission bound in [1, depth] when adaptive is on.

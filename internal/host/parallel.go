@@ -1,27 +1,22 @@
 package host
 
-import (
-	"envy/internal/core"
-	"envy/internal/rlock"
-)
+import "envy/internal/core"
 
-// Parallel batch dispatch: the admission/ordering half of the
-// lock-decomposed host service. The engine keeps its PR 4 semantics —
+// Parallel batch dispatch: the admission/ordering half of the batched
+// host service. The engine keeps its serial semantics —
 // FIFO-first-eligible, reads pass blocked writes, same-page write
 // fences — but instead of servicing one eligible request at a time it
 // admits a batch: the first eligible request plus every later eligible
-// request whose resource footprint (page-table shards + Flash banks,
+// request whose resource footprint (logical-page shards + Flash banks,
 // resolved by the backend at admission) is disjoint from everything
-// already admitted. The batch executes on real OS threads inside
+// already admitted. The batch overlaps on the simulated clock inside
 // core.ExecBatch; conflicting requests stay queued and run in a later
-// batch — queueing per-resource, exactly the two-level scheme the
-// design calls for.
+// batch — queueing per-resource.
 //
 // Determinism: batch composition is a pure function of the queue and
-// the device state at admission (both owned by the single goroutine
-// driving the engine), and ExecBatch merges lane results in admission
-// order — so a given submission sequence replays bit-identically at
-// any GOMAXPROCS.
+// the device state at admission, and ExecBatch serves and merges lanes
+// in admission order — so a given submission sequence replays
+// bit-identically.
 
 // ParallelBackend is the optional backend surface the parallel service
 // path needs; *core.Device implements it when built with
@@ -30,10 +25,10 @@ type ParallelBackend interface {
 	// Footprint resolves the resources an access needs, or reports
 	// ok=false when the access must take the serial path (copy-on-write,
 	// open transaction, armed crash injector, invalid range).
-	Footprint(addr uint64, n int, write bool) (*rlock.Footprint, bool)
+	Footprint(addr uint64, n int, write bool) (*core.Footprint, bool)
 
 	// ExecBatch services admitted requests with pairwise disjoint
-	// footprints on concurrent execution lanes.
+	// footprints, overlapping them on the simulated clock.
 	ExecBatch(batch []*core.BatchAccess)
 }
 
@@ -109,7 +104,7 @@ func (e *Engine) collectBatch() []*Request {
 	return batch
 }
 
-// serviceBatch executes a multi-request batch on concurrent lanes and
+// serviceBatch executes a multi-request batch on execution lanes and
 // completes its requests in admission order. Every request starts at
 // the batch base time: disjoint requests genuinely overlap on the
 // simulated device.

@@ -7,11 +7,9 @@ package sim
 // execution lane advances a private LaneClock, and the batch's merged
 // completion time is the deterministic maximum of the lane ends.
 //
-// The merge rule is what keeps the simulation bit-identical across OS
-// thread interleavings: lane clocks never observe each other, so the
-// merged time is a pure function of the batch's admission order and the
-// device state at admission — never of which goroutine happened to run
-// first.
+// Lane clocks never observe each other, so the merged time is a pure
+// function of the batch's admission order and the device state at
+// admission.
 type ShardedClock struct {
 	base  Time
 	lanes []LaneClock
@@ -30,8 +28,7 @@ func NewShardedClock(base Time, lanes int) *ShardedClock {
 // Base returns the batch's shared start time.
 func (c *ShardedClock) Base() Time { return c.base }
 
-// Lane returns lane i's private clock. Each lane must be driven by at
-// most one goroutine; distinct lanes may advance concurrently.
+// Lane returns lane i's private clock.
 func (c *ShardedClock) Lane(i int) *LaneClock { return &c.lanes[i] }
 
 // Merge returns the batch completion time: the maximum lane end (the
@@ -46,14 +43,9 @@ func (c *ShardedClock) Merge() Time {
 	return end
 }
 
-// LaneClock is one execution lane's private simulated clock. The
-// padding keeps each lane's clock on its own cache line: the clocks
-// live in one contiguous slice and every timed access writes its
-// lane's now, so unpadded neighbours would false-share the line and
-// serialize the very lanes the decomposition exists to overlap.
+// LaneClock is one execution lane's private simulated clock.
 type LaneClock struct {
 	now Time
-	_   [56]byte
 }
 
 // Now returns the lane's current time.

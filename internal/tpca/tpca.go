@@ -443,7 +443,7 @@ func NewDriverDepth(bank *Bank, depth int) *Driver {
 // NewDriverParallel returns a driver whose host queue dispatches
 // disjoint-footprint requests to parallel execution lanes. The bank's
 // device must have been built with core.Config.ParallelService (the
-// engine arms the lock-decomposed batch path against it); the panic
+// engine arms the batched service path against it); the panic
 // otherwise is immediate rather than a silent serial fallback.
 func NewDriverParallel(bank *Bank, depth int) *Driver {
 	if !bank.dev.ParallelEnabled() {

@@ -187,7 +187,6 @@ func TestMapTierCrashRecovery(t *testing.T) {
 func TestMapTierRejectsParallelService(t *testing.T) {
 	cfg := mapTierConfig()
 	cfg.ParallelService = true
-	cfg.PageTableShards = 2
 	if _, err := New(cfg); err == nil {
 		t.Fatal("New accepted MapTier together with ParallelService")
 	}

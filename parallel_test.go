@@ -1,35 +1,30 @@
-// Parallel host service tests: the lock-decomposed device core must
-// (a) stay data-race free under racing submitters, (b) replay
-// bit-identically at any GOMAXPROCS, (c) perform exactly the same
-// logical operations as the serial engine, and (d) collapse to the
-// serial path — bit-identical results — at queue depth 1. The golden
-// fixtures in testdata/golden pin the serial path itself, so (d) chains
-// the parallel build to the pre-parallel timeline.
+// Parallel host service tests: the batched device core must (a) stay
+// data-race free under racing submitters, (b) replay the pinned lane
+// fixture bit-identically, (c) perform exactly the same logical
+// operations as the serial engine, and (d) collapse to the serial path
+// — bit-identical results — at queue depth 1. The golden fixtures in
+// testdata/golden pin the serial path itself, so (d) chains the
+// parallel build to the pre-parallel timeline.
 package envy_test
 
 import (
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"envy"
 	"envy/internal/core"
-	"envy/internal/experiments"
 	"envy/internal/flash"
 	"envy/internal/host"
-	"envy/internal/rlock"
 )
 
 // parallelTestConfig is the concurrency-test geometry with the
-// parallel service path on: four shards per bank so requests landing
-// in nearby logical regions still get disjoint footprints.
+// parallel service path on.
 func parallelTestConfig() envy.Config {
 	cfg := concurrencyConfig()
 	cfg.ParallelFlush = cfg.Banks
 	cfg.HostQueueDepth = 8
-	cfg.PageTableShards = 4 * cfg.Banks
 	cfg.ParallelService = true
 	return cfg
 }
@@ -85,7 +80,7 @@ func submitHammer(t *testing.T, dev *envy.Device, workers, opsPerWorker int, tol
 		}(w)
 	}
 	// Stats and queue-introspection observer: must be race-free against
-	// the submitters and the internal lane goroutines.
+	// the submitters.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -167,7 +162,6 @@ func newLaneRig(t *testing.T) *laneRig {
 		Geometry:        geo,
 		BufferPages:     64,
 		ParallelFlush:   geo.Banks,
-		PageTableShards: 4 * geo.Banks,
 		ParallelService: true,
 	}
 	dev, err := core.New(cfg)
@@ -195,7 +189,7 @@ func newLaneRig(t *testing.T) *laneRig {
 
 	// Disjoint Flash-read regions, resolved through the admission
 	// primitive itself (placement is whatever the preload chose).
-	var fps []*rlock.Footprint
+	var fps []*core.Footprint
 	for addr := uint64(0); int64(addr)+int64(rig.segByte) <= dev.Size() && len(rig.regions) < geo.Banks; addr += uint64(rig.segByte) {
 		fp, ok := dev.Footprint(addr, rig.segByte, false)
 		if !ok {
@@ -217,10 +211,11 @@ func newLaneRig(t *testing.T) *laneRig {
 		t.Fatalf("found %d disjoint regions, need at least 2", len(rig.regions))
 	}
 
-	// A few SRAM-buffered pages in distinct shards: first writes take
-	// the serial copy-on-write path; the rig's rounds then rewrite them
-	// on lanes (buffered writes carry shard-only footprints).
-	shardBytes := (dev.Size()/int64(geo.PageSize)/int64(cfg.PageTableShards) + 1) * int64(geo.PageSize)
+	// A few SRAM-buffered pages in distinct shards (ParallelService
+	// splits the logical space into four shards per bank): first writes
+	// take the serial copy-on-write path; the rig's rounds then rewrite
+	// them on lanes (buffered writes carry shard-only footprints).
+	shardBytes := (dev.Size()/int64(geo.PageSize)/int64(4*geo.Banks) + 1) * int64(geo.PageSize)
 	for s := 0; s < 4; s++ {
 		addr := uint64(s) * uint64(shardBytes)
 		w := &host.Request{Write: true, Addr: addr, Data: []byte{1, 2, 3, 4}}
@@ -254,8 +249,8 @@ func (r *laneRig) round(t *testing.T, i int, bufs [][]byte) {
 	}
 }
 
-// laneOutcome is everything a lane workload run measures, for
-// bit-identity comparison across GOMAXPROCS settings.
+// laneOutcome is everything a lane workload run measures, pinned in
+// testdata/golden/lanes.json.
 type laneOutcome struct {
 	Now      time.Duration
 	Counters interface{}
@@ -286,23 +281,15 @@ func runLaneWorkload(t *testing.T, rounds int) laneOutcome {
 	}
 }
 
-// TestParallelLaneDeterminism pins the sharded-clock merge rule: the
-// same submission sequence must produce a bit-identical simulated
-// outcome at GOMAXPROCS 1 and 8, whatever the goroutine interleaving.
-// Under -race this doubles as the lane data-race check: batch members
-// genuinely run on concurrent goroutines.
+// TestParallelLaneDeterminism pins the batched path's simulated
+// outcome — clock, counters, latency summaries, batch shape — to the
+// fixture testdata/golden/lanes.json.
 func TestParallelLaneDeterminism(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	one := runLaneWorkload(t, 40)
-	runtime.GOMAXPROCS(8)
-	eight := runLaneWorkload(t, 40)
-	runtime.GOMAXPROCS(prev)
-	if one.MaxBatch < 2 {
-		t.Fatalf("workload never batched (max batch %d); lanes were not exercised", one.MaxBatch)
+	got := runLaneWorkload(t, 40)
+	if got.MaxBatch < 2 {
+		t.Fatalf("workload never batched (max batch %d); lanes were not exercised", got.MaxBatch)
 	}
-	if !reflect.DeepEqual(one, eight) {
-		t.Fatalf("simulated outcome depends on GOMAXPROCS:\n  procs=1: %+v\n  procs=8: %+v", one, eight)
-	}
+	goldenCompare(t, "lanes", got)
 }
 
 // TestParallelSerialOpCounters is the op-counter smoke CI runs: the
@@ -421,40 +408,5 @@ func TestFlushCleanOverlap(t *testing.T) {
 	if s.FlushCleanOverlap <= 0 {
 		t.Fatalf("cleaning copies never overlapped flush programming (overlap %v, %d flushes, %d clean copies)",
 			s.FlushCleanOverlap, s.Flushes, s.CleanCopies)
-	}
-}
-
-// TestParallelWallSpeedup measures the wall-clock win of the
-// decomposition on the saturated read workload. Thread-level speedup
-// needs hardware threads: on machines with fewer than 4 CPUs the test
-// documents the situation and skips (the simulated outcome is still
-// pinned by TestParallelLaneDeterminism).
-func TestParallelWallSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement skipped in -short")
-	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("host has %d CPU(s); wall-clock scaling needs at least 4", runtime.NumCPU())
-	}
-	rig, err := experiments.ParallelWallPrepare(experiments.Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(procs int) float64 {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		start := time.Now()
-		if _, err := rig.Drive(experiments.ParallelWallRounds); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start).Seconds()
-	}
-	measure(1) // warm the rig (page cache, JIT-ish effects) before timing
-	serial := measure(1)
-	parallel := measure(8)
-	t.Logf("wall: GOMAXPROCS=1 %.3fs, GOMAXPROCS=8 %.3fs (%.2fx, %d lanes)",
-		serial, parallel, serial/parallel, rig.Lanes())
-	if parallel*2 > serial {
-		t.Errorf("GOMAXPROCS=8 wall %.3fs is not 2x faster than GOMAXPROCS=1 wall %.3fs", parallel, serial)
 	}
 }
