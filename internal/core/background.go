@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"envy/internal/cleaner"
+	"envy/internal/flash"
 	"envy/internal/sim"
 	"envy/internal/sram"
 	"envy/internal/stats"
@@ -126,6 +127,7 @@ func (d *Device) expandFullPage(frame *sram.Frame) bool {
 		ppn, work = d.eng.Flush(lpn, frame.Home, frame.Data)
 	}
 	d.flushPPN[lpn] = ppn
+	d.moveReservation(flash.NoPage, ppn)
 	d.stampFlush(ppn)
 
 	for _, st := range work {
@@ -153,23 +155,8 @@ func (d *Device) expandFullPage(frame *sram.Frame) bool {
 // deeper pipeline top-ups use depth 2 (a successor queued behind each
 // programming bank, ready the instant it completes).
 func (d *Device) bankOccupied(bank, depth int) bool {
-	geo := d.cfg.Geometry
-	queued := 0
-	for _, ppn := range d.flushPPN {
-		seg, _ := geo.Split(ppn)
-		if geo.BankOf(seg) == bank {
-			if queued++; queued >= depth {
-				return true
-			}
-		}
-	}
-	for _, u := range d.diffInflight {
-		seg, _ := geo.Split(u.ppn)
-		if geo.BankOf(seg) == bank {
-			if queued++; queued >= depth {
-				return true
-			}
-		}
+	if d.bankFlushes[bank] >= depth {
+		return true
 	}
 	if d.hostConc > 1 {
 		// Multi-outstanding mode: host accesses overlap background work,
@@ -192,35 +179,47 @@ func (d *Device) bankOccupied(bank, depth int) bool {
 // actually comes from. Returns nil when every candidate collides or is
 // unpredictable; the caller falls back to plain FIFO (progress beats
 // placement).
+//
+// A frame's eligibility depends only on its home partition, so it is
+// decided once per partition; the buffer scan then stops at the first
+// non-flushing frame with an open home, and is skipped outright when
+// no home is open.
 func (d *Device) pickFlushFrame() *sram.Frame {
 	geo := d.cfg.Geometry
-	// One pass over the in-flight set up front, so the per-frame test
-	// below is O(1) instead of rescanning it for every buffered frame.
-	occupied := make([]bool, geo.Banks)
-	for _, ppn := range d.flushPPN {
-		seg, _ := geo.Split(ppn)
-		occupied[geo.BankOf(seg)] = true
+	open := false
+	for home := range d.homeOpen {
+		ok := false
+		if seg := d.eng.PeekFlushSegment(home); seg >= 0 {
+			bank := geo.BankOf(seg)
+			ok = d.bankFlushes[bank] == 0 && !(d.hostConc == 1 && d.banks.Busy(bank))
+		}
+		d.homeOpen[home] = ok
+		open = open || ok
 	}
-	for _, u := range d.diffInflight {
-		seg, _ := geo.Split(u.ppn)
-		occupied[geo.BankOf(seg)] = true
+	if !open {
+		return nil
 	}
-	var found *sram.Frame
-	d.buf.Frames(func(f *sram.Frame) {
-		if found != nil || f.Flushing {
-			return
-		}
-		seg := d.eng.PeekFlushSegment(f.Home)
-		if seg < 0 {
-			return
-		}
-		bank := geo.BankOf(seg)
-		if occupied[bank] || (d.hostConc == 1 && d.banks.Busy(bank)) {
-			return
-		}
-		found = f
-	})
-	return found
+	return d.buf.FindOldest(d.flushableAtHome)
+}
+
+// flushableAtHome is pickFlushFrame's frame test: not already flushing,
+// and homed in a partition the current pick found open.
+func (d *Device) flushableAtHome(f *sram.Frame) bool {
+	return !f.Flushing && d.homeOpen[f.Home]
+}
+
+// moveReservation moves one in-flight flush target from physical page
+// from to physical page to in the per-bank counts; flash.NoPage on
+// either side adds or drops the reservation. Every insertion into,
+// relocation within and deletion from flushPPN and diffInflight goes
+// through here.
+func (d *Device) moveReservation(from, to uint32) {
+	if from != flash.NoPage {
+		d.bankFlushes[d.bankOf(from)]--
+	}
+	if to != flash.NoPage {
+		d.bankFlushes[d.bankOf(to)]++
+	}
 }
 
 // enqueueStep converts one unit of cleaner work into a scheduler
@@ -268,6 +267,7 @@ func (d *Device) finishFlush(lpn uint32) {
 		panic(fmt.Sprintf("core: finishing flush of page %d with no record", lpn))
 	}
 	delete(d.flushPPN, lpn)
+	d.moveReservation(ppn, flash.NoPage)
 	frame := d.buf.Lookup(lpn)
 	if frame == nil || !frame.Flushing {
 		panic(fmt.Sprintf("core: finishing flush of page %d with no flushing frame", lpn))

@@ -281,6 +281,16 @@ type Device struct {
 	// (the cleaner may relocate it mid-flush).
 	flushPPN map[uint32]uint32
 
+	// bankFlushes counts, per Flash bank, the in-flight flush targets
+	// (flushPPN and diffInflight entries) on that bank, so the §6
+	// placement tests bank occupancy in O(1). moveReservation keeps it
+	// in step with both maps.
+	bankFlushes []int
+
+	// homeOpen is pickFlushFrame's scratch: per home partition, whether
+	// a flush homed there would land on a free bank.
+	homeOpen []bool
+
 	// policy is the pluggable write-back expansion (Config.FlushPolicy).
 	policy flushPolicy
 
@@ -364,6 +374,8 @@ func New(cfg Config) (*Device, error) {
 	}
 	d.banks = flash.NewBankSet(cfg.Geometry.Banks)
 	d.finishFlushFn = d.finishFlush
+	d.bankFlushes = make([]int, cfg.Geometry.Banks)
+	d.homeOpen = make([]bool, d.eng.Partitions())
 	// One lane reproduces the paper's base controller (one background
 	// operation at a time). With ParallelFlush above 1, the banks run
 	// autonomously — every bank may host its own program or erase —
@@ -532,6 +544,7 @@ func (d *Device) remap(logical, oldPPN, newPPN uint32) {
 		for _, seq := range sortedDiffSeqs(d.diffInflight) {
 			if u := d.diffInflight[seq]; u.ppn == oldPPN {
 				u.ppn = newPPN
+				d.moveReservation(oldPPN, newPPN)
 				for i := range u.members {
 					u.members[i].loc.Unit = newPPN
 				}
@@ -543,6 +556,7 @@ func (d *Device) remap(logical, oldPPN, newPPN uint32) {
 	}
 	if ppn, flushing := d.flushPPN[logical]; flushing && ppn == oldPPN {
 		d.flushPPN[logical] = newPPN
+		d.moveReservation(oldPPN, newPPN)
 		return
 	}
 	if sh, ok := d.shadows[logical]; ok && sh.hasFlash && sh.ppn == oldPPN {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"envy/internal/cleaner"
+	"envy/internal/flash"
 	"envy/internal/pagetable"
 	"envy/internal/sim"
 	"envy/internal/sram"
@@ -261,6 +262,7 @@ func (d *Device) expandDiff(first *sram.Frame) bool {
 	d.diffSeq++
 	seq := d.diffSeq
 	d.diffInflight[seq] = u
+	d.moveReservation(flash.NoPage, ppn)
 	d.counters.Flushes += int64(len(members))
 	d.counters.DiffUnitPrograms++
 	d.counters.DiffRecordsWritten += int64(len(members))
@@ -295,6 +297,7 @@ func (d *Device) finishDiffFlush(seq uint64) {
 		panic(fmt.Sprintf("core: finishing diff unit %d with no record", seq))
 	}
 	delete(d.diffInflight, seq)
+	d.moveReservation(u.ppn, flash.NoPage)
 	live := 0
 	for _, m := range u.members {
 		frame := d.buf.Lookup(m.lpn)

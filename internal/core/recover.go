@@ -37,6 +37,7 @@ func (d *Device) RecoverFlushes() (discarded int, err error) {
 			return discarded, fmt.Errorf("core: flush reservation for page %d has no buffered frame", lpn)
 		}
 		delete(d.flushPPN, lpn)
+		d.moveReservation(ppn, flash.NoPage)
 		switch st := d.arr.State(ppn); st {
 		case flash.Torn:
 			d.arr.Quarantine(ppn)
@@ -75,6 +76,7 @@ func (d *Device) RecoverDiffFlushes() (discarded, dropped int, err error) {
 	for _, seq := range sortedDiffSeqs(d.diffInflight) {
 		u := d.diffInflight[seq]
 		delete(d.diffInflight, seq)
+		d.moveReservation(u.ppn, flash.NoPage)
 		for _, m := range u.members {
 			frame := d.buf.Lookup(m.lpn)
 			if frame == nil {

@@ -143,8 +143,10 @@ func (d *Device) Rollback() (err error) {
 func (d *Device) discardCurrent(lpn uint32, keep uint32) {
 	if frame := d.buf.Lookup(lpn); frame != nil {
 		if frame.Flushing {
-			d.arr.Invalidate(d.flushPPN[lpn])
+			ppn := d.flushPPN[lpn]
+			d.arr.Invalidate(ppn)
 			delete(d.flushPPN, lpn)
+			d.moveReservation(ppn, flash.NoPage)
 			if !d.sched.CancelDone(lpn) {
 				panic(fmt.Sprintf("core: cancelling flush of page %d with no scheduled program", lpn))
 			}
@@ -315,9 +317,13 @@ func (d *Device) Churn(n int, seed uint64) {
 //   - every live Flash page is reachable: it is some logical page's
 //     current copy, an in-flight flush target, or a transaction shadow;
 //   - buffered pages map to SRAM;
+//   - the per-bank in-flight flush counts match the reservations;
 //   - the cleaner's structural invariants hold.
 func (d *Device) CheckConsistency() error {
 	if err := d.eng.CheckInvariants(); err != nil {
+		return err
+	}
+	if err := d.checkBankFlushes(); err != nil {
 		return err
 	}
 	reachable := make(map[uint32]uint32) // ppn -> expected logical owner
@@ -407,4 +413,23 @@ func (d *Device) CheckConsistency() error {
 		}
 	})
 	return bad
+}
+
+// checkBankFlushes recounts the in-flight flush targets per bank from
+// flushPPN and diffInflight and compares the counts bankOccupied and
+// pickFlushFrame read.
+func (d *Device) checkBankFlushes() error {
+	want := make([]int, len(d.bankFlushes))
+	for _, ppn := range d.flushPPN {
+		want[d.bankOf(ppn)]++
+	}
+	for _, u := range d.diffInflight {
+		want[d.bankOf(u.ppn)]++
+	}
+	for bank, n := range want {
+		if got := d.bankFlushes[bank]; got != n {
+			return fmt.Errorf("bank %d counts %d in-flight flush targets, but %d reservations target it", bank, got, n)
+		}
+	}
+	return nil
 }

@@ -130,6 +130,14 @@ type Scheduler struct {
 	cursor sim.Time
 	nextID int64
 
+	// parked reports that the last Preempt found no claims and
+	// suspended the whole prospective running set, and that no op has
+	// been enqueued or has claimed a bank since: a repeat Preempt would
+	// pick the same, already suspended set, so it only moves the
+	// cursor. Enqueue and every claim clear it; resumes and completions
+	// always pass through a claim, and Reset only empties the queue.
+	parked bool
+
 	run       []*Op  // scratch: current running set
 	bankTaken []bool // scratch: banks reserved during pick
 	free      []*Op  // recycled ops for the background hot path
@@ -194,6 +202,7 @@ func (s *Scheduler) Enqueue(op *Op) {
 	op.claimed = false
 	op.suspended = false
 	s.queue = append(s.queue, op)
+	s.parked = false
 	s.ops.Counters(op.Kind).Started++
 }
 
@@ -299,6 +308,7 @@ func (s *Scheduler) Run(from, until sim.Time) {
 			if !op.claimed {
 				s.banks.Claim(op.Bank, op.id)
 				op.claimed = true
+				s.parked = false
 			}
 		}
 		zero := false
@@ -404,9 +414,29 @@ func (s *Scheduler) completeFinished() {
 // the prospective running set is suspended and its bank claims are
 // released (a suspended program or erase leaves the chips free), and
 // the cursor catches up to the host clock.
+//
+// A parked controller has nothing left to suspend, so Preempt then
+// only moves the cursor, which spares the queue scans on every host
+// access of a busy burst. The controller parks when a Preempt finds no
+// claims: pick is then a pure FIFO pass over the unclaimed queue, and
+// until an Enqueue or a claim (only the scheduler claims banks) it
+// returns the same set, now suspended.
+//
+// A Preempt that releases claims does not park: pick puts claim
+// holders first, so once they are released a FIFO-earlier op they had
+// kept out — a flush held back by the flush-lane bound, ahead of an
+// erase on its bank — may enter the set, and the next Preempt must
+// suspend it.
 func (s *Scheduler) Preempt(now sim.Time) {
-	for _, op := range s.pick() {
-		s.suspendOp(op, now)
+	if !s.parked {
+		parked := true
+		for _, op := range s.pick() {
+			if op.claimed {
+				parked = false
+			}
+			s.suspendOp(op, now)
+		}
+		s.parked = parked
 	}
 	s.cursor = now
 }
@@ -458,6 +488,7 @@ func (s *Scheduler) Overlap(bank int, now sim.Time) {
 			if !op.claimed {
 				s.banks.Claim(op.Bank, op.id)
 				op.claimed = true
+				s.parked = false
 			}
 		}
 		zero := false
@@ -487,21 +518,6 @@ func (s *Scheduler) Overlap(bank int, now sim.Time) {
 		s.completeFinished()
 	}
 	s.cursor = now
-}
-
-// QueuedOn counts queued (incomplete) operations of the given kind
-// targeting bank. The controller's flush placement uses it to steer
-// programs away from banks with cleaning copies waiting, so copy-out
-// overlaps flush programming on distinct banks instead of queueing
-// behind it.
-func (s *Scheduler) QueuedOn(bank int, kind stats.OpKind) int {
-	n := 0
-	for _, op := range s.queue {
-		if op.Bank == bank && op.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // suspendOp parks one op. The bank claim must be released before the
@@ -583,7 +599,9 @@ func (s *Scheduler) Reset(now sim.Time) {
 
 // SelfCheck verifies the scheduler's internal invariants: a suspended
 // op holds no bank claim, every claim is mutually consistent with the
-// bank set, and the claim count never exceeds the lane limit.
+// bank set, the claim count never exceeds the lane limit, and a parked
+// scheduler holds no claim and has already suspended every op pick
+// would return — the facts that make Preempt's parked shortcut exact.
 func (s *Scheduler) SelfCheck() error {
 	claimed := 0
 	for _, op := range s.queue {
@@ -603,6 +621,17 @@ func (s *Scheduler) SelfCheck() error {
 	}
 	if claimed > s.lanes {
 		return fmt.Errorf("sched: %d claims exceed the %d-lane limit", claimed, s.lanes)
+	}
+	if s.parked {
+		if claimed > 0 {
+			return fmt.Errorf("sched: parked scheduler holds %d bank claims", claimed)
+		}
+		for _, op := range s.pick() {
+			if !op.suspended {
+				return fmt.Errorf("sched: parked scheduler would pick unsuspended %v op %d on bank %d",
+					op.Kind, op.id, op.Bank)
+			}
+		}
 	}
 	return nil
 }

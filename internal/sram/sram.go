@@ -186,9 +186,16 @@ func (b *Buffer) Requeue(f *Frame) {
 // being flushed, or nil if every buffered page is mid-flush (or the
 // buffer is empty). This is the flush candidate per §3.2: "pages are
 // flushed from the tail".
-func (b *Buffer) Oldest() *Frame {
+func (b *Buffer) Oldest() *Frame { return b.FindOldest(notFlushing) }
+
+func notFlushing(f *Frame) bool { return !f.Flushing }
+
+// FindOldest returns the frame nearest the tail of the FIFO (the
+// oldest) for which match reports true, or nil if none does. The scan
+// stops at the first match.
+func (b *Buffer) FindOldest(match func(*Frame) bool) *Frame {
 	for i := b.tail; i != noFrame; i = b.frames[i].prev {
-		if !b.frames[i].Flushing {
+		if match(&b.frames[i]) {
 			return &b.frames[i]
 		}
 	}
