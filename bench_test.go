@@ -14,14 +14,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
 	"envy"
 	"envy/internal/cleaner"
+	"envy/internal/core"
 	"envy/internal/experiments"
 	"envy/internal/flash"
 	"envy/internal/sim"
+	"envy/internal/tpca"
 )
 
 // reportAll emits one experiment's metric map — the same maps
@@ -377,5 +380,52 @@ func BenchmarkTransactions(b *testing.B) {
 		if i%128 == 0 {
 			dev.Idle(1e6)
 		}
+	}
+}
+
+// BenchmarkTPCATransaction measures the simulator in its end-to-end
+// unit: wall ns and heap allocations per simulated TPC-A transaction.
+// Transactions run through a depth-1 host queue (the experiments'
+// driver) on the aged and warmed small-scale system. b.N sets the
+// simulated duration so that about b.N transactions arrive; ns/txn and
+// allocs/txn divide by the exact number completed.
+func BenchmarkTPCATransaction(b *testing.B) {
+	const rate = 8000 // TPS, below the small system's saturation
+	sc := experiments.Small()
+	dev, err := core.New(core.Config{
+		Geometry:    sc.SystemGeometry,
+		Cleaning:    cleaner.Config{Kind: cleaner.Hybrid, PartitionSegments: 16, WearThreshold: 100},
+		BufferPages: sc.BufferPages,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bank, err := tpca.Setup(dev, tpca.Config{
+		Branches: sc.Branches, AccountsPerTeller: sc.AccountsPerTeller, Seed: sc.Seed, InitialBalance: 1000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev.Churn(sc.AgeWrites, sc.Seed^0xa6e)
+	dr := tpca.NewDriverDepth(bank, 1)
+	for i := 0; i < 2; i++ {
+		if _, err := dr.Run(rate, sc.WarmTime); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := dr.Run(rate, sim.Duration(float64(b.N)/rate*float64(sim.Second)))
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if res.Completed > 0 {
+		n := float64(res.Completed)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/txn")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/txn")
 	}
 }

@@ -48,6 +48,8 @@ type Preloader interface {
 }
 
 // Tree is a B-tree rooted in a [base, limit) region of device memory.
+// A Tree is not safe for concurrent use, searches included: every
+// timed word access goes through one scratch buffer the Tree owns.
 type Tree struct {
 	mem    Memory
 	base   uint64 // header address; nodes are allocated after it
@@ -55,6 +57,11 @@ type Tree struct {
 	root   uint64
 	next   uint64 // bump allocator cursor
 	height int    // 1 = root is a leaf
+
+	// scratch is the I/O buffer of the header, node-header, key and
+	// pointer accesses. A per-call local would move to the heap on
+	// every access, because Memory is an interface.
+	scratch [headerBytes]byte
 }
 
 // KV is one key/value pair for bulk loading.
@@ -82,19 +89,15 @@ func New(mem Memory, base, limit uint64) (*Tree, error) {
 // Open reattaches to a tree previously created in [base, limit) —
 // after a power cycle, for example.
 func Open(mem Memory, base, limit uint64) (*Tree, error) {
-	var hdr [headerBytes]byte
-	mem.Read(hdr[:], base)
+	t := &Tree{mem: mem, base: base, limit: limit}
+	hdr := t.scratch[:]
+	mem.Read(hdr, base)
 	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
 		return nil, fmt.Errorf("btree: no tree header at %d", base)
 	}
-	t := &Tree{
-		mem:    mem,
-		base:   base,
-		limit:  limit,
-		root:   binary.LittleEndian.Uint64(hdr[8:]),
-		next:   binary.LittleEndian.Uint64(hdr[16:]),
-		height: int(binary.LittleEndian.Uint32(hdr[24:])),
-	}
+	t.root = binary.LittleEndian.Uint64(hdr[8:])
+	t.next = binary.LittleEndian.Uint64(hdr[16:])
+	t.height = int(binary.LittleEndian.Uint32(hdr[24:]))
 	return t, nil
 }
 
@@ -116,12 +119,18 @@ func (t *Tree) alloc() (uint64, error) {
 }
 
 func (t *Tree) writeHeader() {
-	var hdr [headerBytes]byte
+	t.mem.Write(t.encodeHeader(), t.base)
+}
+
+// encodeHeader fills the scratch buffer with the on-device header.
+func (t *Tree) encodeHeader() []byte {
+	hdr := t.scratch[:]
+	clear(hdr)
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
 	binary.LittleEndian.PutUint64(hdr[8:], t.root)
 	binary.LittleEndian.PutUint64(hdr[16:], t.next)
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(t.height))
-	t.mem.Write(hdr[:], t.base)
+	return hdr
 }
 
 // node is the in-host working copy of one on-device node.
@@ -192,10 +201,8 @@ func (t *Tree) writeNode(addr uint64, nd *node) {
 // keys, and one child pointer.
 func (t *Tree) Search(key uint64) (uint64, bool) {
 	addr := t.root
-	for level := 0; ; level++ {
-		var hdr [2]byte
-		t.mem.Read(hdr[:], addr)
-		leaf, n := hdr[0] == 0, int(hdr[1])
+	for {
+		leaf, n := t.readNodeHeader(addr)
 		idx, exact := t.probe(addr, n, key)
 		if leaf {
 			if exact {
@@ -231,16 +238,27 @@ func (t *Tree) probe(addr uint64, n int, key uint64) (int, bool) {
 	return lo, false
 }
 
+// readNodeHeader reads the 2-byte header of the node at addr: whether
+// it is a leaf, and its key count.
+func (t *Tree) readNodeHeader(addr uint64) (leaf bool, n int) {
+	hdr := t.scratch[:2]
+	t.mem.Read(hdr, addr)
+	return hdr[0] == 0, int(hdr[1])
+}
+
 func (t *Tree) readKey(addr uint64, i int) uint64 {
-	var b [8]byte
-	t.mem.Read(b[:], addr+offKeys+uint64(i)*8)
-	return binary.LittleEndian.Uint64(b[:])
+	return t.readUint64(addr + offKeys + uint64(i)*8)
 }
 
 func (t *Tree) readPtr(addr uint64, i int) uint64 {
-	var b [8]byte
-	t.mem.Read(b[:], addr+offPtrs+uint64(i)*8)
-	return binary.LittleEndian.Uint64(b[:])
+	return t.readUint64(addr + offPtrs + uint64(i)*8)
+}
+
+// readUint64 reads one 8-byte key or pointer (two device words).
+func (t *Tree) readUint64(addr uint64) uint64 {
+	b := t.scratch[:8]
+	t.mem.Read(b, addr)
+	return binary.LittleEndian.Uint64(b)
 }
 
 // Update overwrites the value stored under an existing key and reports
@@ -248,17 +266,15 @@ func (t *Tree) readPtr(addr uint64, i int) uint64 {
 func (t *Tree) Update(key, value uint64) bool {
 	addr := t.root
 	for {
-		var hdr [2]byte
-		t.mem.Read(hdr[:], addr)
-		leaf, n := hdr[0] == 0, int(hdr[1])
+		leaf, n := t.readNodeHeader(addr)
 		idx, exact := t.probe(addr, n, key)
 		if leaf {
 			if !exact {
 				return false
 			}
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], value)
-			t.mem.Write(b[:], addr+offPtrs+uint64(idx)*8)
+			b := t.scratch[:8]
+			binary.LittleEndian.PutUint64(b, value)
+			t.mem.Write(b, addr+offPtrs+uint64(idx)*8)
 			return true
 		}
 		child := idx
@@ -512,12 +528,7 @@ func Load(mem Memory, base, limit uint64, pairs []KV) (*Tree, error) {
 	}
 	t.root = level[0].addr
 	if pre != nil {
-		var hdr [headerBytes]byte
-		binary.LittleEndian.PutUint32(hdr[0:], magic)
-		binary.LittleEndian.PutUint64(hdr[8:], t.root)
-		binary.LittleEndian.PutUint64(hdr[16:], t.next)
-		binary.LittleEndian.PutUint32(hdr[24:], uint32(t.height))
-		if err := pre.Preload(hdr[:], t.base); err != nil {
+		if err := pre.Preload(t.encodeHeader(), t.base); err != nil {
 			return nil, err
 		}
 	} else {

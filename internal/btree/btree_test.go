@@ -271,6 +271,34 @@ func TestSearchGeneratesBoundedIO(t *testing.T) {
 	}
 }
 
+// TestSearchAllocs gates the timed tree walk at zero allocations: the
+// header, key and pointer reads share the Tree's scratch buffer instead
+// of each moving a local to the heap through the Memory interface.
+func TestSearchAllocs(t *testing.T) {
+	d := newDeviceMem(t)
+	pairs := make([]KV, 10000)
+	for i := range pairs {
+		pairs[i] = KV{Key: uint64(i), Value: uint64(i) * 3}
+	}
+	tr, err := Load(d, 0, uint64(d.Size()), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := uint64(0)
+	search := func() {
+		key = (key + 7919) % uint64(len(pairs))
+		if v, ok := tr.Search(key); !ok || v != key*3 {
+			t.Fatalf("Search(%d) = %d,%v", key, v, ok)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		search()
+	}
+	if n := testing.AllocsPerRun(200, search); n != 0 {
+		t.Errorf("Search allocates %v times per call, want 0", n)
+	}
+}
+
 func TestQuickRandomAgainstMap(t *testing.T) {
 	tr, _ := New(newRAM(4<<20), 0, 4<<20)
 	model := make(map[uint64]uint64)

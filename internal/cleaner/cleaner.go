@@ -238,6 +238,13 @@ type Engine struct {
 	consolidate func(logical, oldPPN uint32) (payload []byte, after func(newPPN uint32), ok bool)
 
 	work []Step // scratch accumulator for the current operation
+
+	// Scratch of the §4.3 and §6 heuristics, reused across calls so a
+	// warmed engine allocates nothing: per-partition products, per-bank
+	// front marks, and the live pages one redistribution moves.
+	prods     []float64
+	frontSeen []bool
+	picks     []livePick
 }
 
 // New returns an engine managing arr. remap is invoked whenever the
@@ -543,7 +550,11 @@ func (e *Engine) ensureFronts(home int, avoid func(bank int) bool) {
 	if avoid(spareBank) {
 		return // the front this clean would open is on a busy bank
 	}
-	seen := make([]bool, geo.Banks)
+	if len(e.frontSeen) != geo.Banks {
+		e.frontSeen = make([]bool, geo.Banks)
+	}
+	seen := e.frontSeen
+	clear(seen)
 	fronts := 0
 	for seg := 0; seg < geo.Segments; seg++ {
 		if seg == e.spare {

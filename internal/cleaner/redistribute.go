@@ -52,8 +52,13 @@ func (e *Engine) utilization(idx int) float64 {
 // pages, so the product reduces to rate · u/(1−u). Its fixed point is
 // exactly the paper's intuition: a partition written ten times more
 // often settles at one tenth the per-flush cleaning cost.
+//
+// prods is the engine's scratch, valid until the next call.
 func (e *Engine) products() (prods []float64, avg float64) {
-	prods = make([]float64, len(e.parts))
+	if len(e.prods) != len(e.parts) {
+		e.prods = make([]float64, len(e.parts))
+	}
+	prods = e.prods
 	var sum float64
 	for i := range e.parts {
 		e.decayTo(&e.parts[i], e.flushSeq)
@@ -106,7 +111,8 @@ func (e *Engine) redistribute(home, dest int) {
 	// ladder to stall on), while a hot region that outgrows one
 	// partition expands contiguously into the partition next door
 	// rather than spraying its excess across the whole array.
-	var cands []cand
+	var buf [2]cand
+	cands := buf[:0]
 	if up := e.frontier(prods, home, +1); up >= 0 {
 		cands = append(cands, cand{up, false})
 	}
@@ -151,6 +157,13 @@ func (e *Engine) frontier(prods []float64, home, dir int) int {
 // shedding partition to send it pages.
 const frontierMargin = 0.7
 
+// livePick is one live page movePages relocates: its page index in the
+// source segment and its logical page.
+type livePick struct {
+	page    int
+	logical uint32
+}
+
 // movePages relocates up to n live pages from the src segment into the
 // active segment of partition dstPart, taking them from the tail
 // (hottest) or head (coldest) of src's live cluster. Returns how many
@@ -174,24 +187,21 @@ func (e *Engine) movePages(src, dstPart, n int, fromTail bool) int {
 		return 0
 	}
 	geo := e.arr.Geometry()
-	type pick struct {
-		page    int
-		logical uint32
-	}
-	picks := make([]pick, 0, n)
+	picks := e.picks[:0]
 	if fromTail {
 		// Collect all live pages, keep the last n.
-		var all []pick
 		e.arr.LivePages(src, func(page int, logical uint32) {
-			all = append(all, pick{page, logical})
+			picks = append(picks, livePick{page, logical})
 		})
-		picks = append(picks, all[len(all)-n:]...)
+		e.picks = picks
+		picks = picks[len(picks)-n:]
 	} else {
 		e.arr.LivePages(src, func(page int, logical uint32) {
 			if len(picks) < n {
-				picks = append(picks, pick{page, logical})
+				picks = append(picks, livePick{page, logical})
 			}
 		})
+		e.picks = picks
 	}
 	for _, pk := range picks {
 		oldPPN := geo.PPN(src, pk.page)

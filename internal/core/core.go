@@ -250,6 +250,11 @@ type Device struct {
 	mmus       []*pagetable.MMU
 	shardPages int
 
+	// Batch scratch of ExecBatch, reused across batches: the sharded
+	// clock and one lane per batch member.
+	laneClock sim.ShardedClock
+	lanes     []*lane
+
 	// mt is the two-tier page table (Config.MapTier); nil keeps the
 	// flat-SRAM translation cost model.
 	mt *maptier.Tier
@@ -894,7 +899,7 @@ func (d *Device) ReadWord(addr uint64) (uint32, sim.Duration) {
 // instead of panicking, with no time charged and no state changed.
 func (d *Device) ReadWordErr(addr uint64) (uint32, sim.Duration, error) {
 	var buf [4]byte
-	lat, err := d.read(addr, buf[:])
+	lat, err := d.readWord(addr, buf[:])
 	if err != nil {
 		return 0, 0, err
 	}
@@ -918,7 +923,7 @@ func (d *Device) WriteWord(addr uint64, v uint32) sim.Duration {
 // the write is not acknowledged and the device is down until recovery.
 func (d *Device) WriteWordErr(addr uint64, v uint32) (lat sim.Duration, err error) {
 	defer d.catchCrash(&err)
-	return d.write(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	return d.writeWord(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
 }
 
 // Read copies len(p) bytes starting at addr into p, issuing one host
@@ -990,17 +995,43 @@ func (d *Device) WriteErr(p []byte, addr uint64) (total sim.Duration, err error)
 	return total, nil
 }
 
+// readWord is one validated word read: a crashed device reports
+// ErrCrashed first, then an out-of-range address its *AccessError,
+// both before any time is charged.
+func (d *Device) readWord(addr uint64, p []byte) (sim.Duration, error) {
+	if !d.crashed {
+		if _, err := d.checkAddr(addr, len(p)); err != nil {
+			return 0, err
+		}
+	}
+	return d.read(addr, p)
+}
+
+// writeWord is the write counterpart of readWord.
+func (d *Device) writeWord(addr uint64, p []byte) (sim.Duration, error) {
+	if !d.crashed {
+		if _, err := d.checkAddr(addr, len(p)); err != nil {
+			return 0, err
+		}
+	}
+	return d.write(addr, p)
+}
+
+// pageOf splits an address into its logical page and page offset.
+func (d *Device) pageOf(addr uint64) (uint32, int) {
+	ps := uint64(d.cfg.Geometry.PageSize)
+	return uint32(addr / ps), int(addr % ps)
+}
+
 // read performs one host read access of up to 4 bytes within one page.
-// The address is validated before any time is charged.
+// The caller has validated the range (readWord per word, ReadErr for
+// the whole span); read keeps only the crash and page-boundary checks,
+// both before any time is charged.
 func (d *Device) read(addr uint64, p []byte) (sim.Duration, error) {
 	if d.crashed {
 		return 0, ErrCrashed
 	}
-	page, err := d.checkAddr(addr, len(p))
-	if err != nil {
-		return 0, err
-	}
-	off := int(addr % uint64(d.cfg.Geometry.PageSize))
+	page, off := d.pageOf(addr)
 	if off+len(p) > d.cfg.Geometry.PageSize {
 		return 0, &AccessError{Addr: addr, Len: len(p), Size: d.Size(), Boundary: true}
 	}
@@ -1063,16 +1094,13 @@ func (d *Device) read(addr uint64, p []byte) (sim.Duration, error) {
 // write performs one host write access of up to 4 bytes within a page,
 // executing a copy-on-write (§3.1, Figure 3) if the page is not yet
 // buffered. If the buffer is full the host blocks until a flush frees
-// a frame — the condition behind Figure 15's write-latency jump.
+// a frame — the condition behind Figure 15's write-latency jump. Like
+// read, it trusts the caller's range validation.
 func (d *Device) write(addr uint64, p []byte) (sim.Duration, error) {
 	if d.crashed {
 		return 0, ErrCrashed
 	}
-	page, err := d.checkAddr(addr, len(p))
-	if err != nil {
-		return 0, err
-	}
-	off := int(addr % uint64(d.cfg.Geometry.PageSize))
+	page, off := d.pageOf(addr)
 	if off+len(p) > d.cfg.Geometry.PageSize {
 		return 0, &AccessError{Addr: addr, Len: len(p), Size: d.Size(), Boundary: true}
 	}

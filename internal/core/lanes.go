@@ -110,22 +110,25 @@ type BatchAccess struct {
 	Err error
 }
 
-// Footprint resolves the resource footprint a host access needs for
-// lane execution: the logical-page shards its page span covers plus the
-// Flash banks its data currently lives on (SRAM-buffered and unmapped
-// pages take no bank). ok is false when the access cannot run on a
-// lane and must take the serial path instead: the device is crashed, a
-// crash injector is armed, a transaction is open, the range is invalid,
-// or a write would need a copy-on-write (buffer allocator = shared
-// state). Resolution itself charges no time and changes no state.
-func (d *Device) Footprint(addr uint64, n int, write bool) (*Footprint, bool) {
+// Footprint resolves into f the resource footprint a host access needs
+// for lane execution: the logical-page shards its page span covers plus
+// the Flash banks its data currently lives on (SRAM-buffered and
+// unmapped pages take no bank). f's previous contents are discarded and
+// its slices reused, so a caller that recycles footprints resolves
+// without allocating. The result is false when the access cannot run on
+// a lane and must take the serial path instead: the device is crashed,
+// a crash injector is armed, a transaction is open, the range is
+// invalid, or a write would need a copy-on-write (buffer allocator =
+// shared state). Resolution itself charges no time and changes no
+// state.
+func (d *Device) Footprint(f *Footprint, addr uint64, n int, write bool) bool {
+	f.Shards, f.Banks = f.Shards[:0], f.Banks[:0]
 	if d.mmus == nil || d.crashed || d.inj != nil || d.inTxn {
-		return nil, false
+		return false
 	}
 	if _, err := d.checkAddr(addr, n); err != nil {
-		return nil, false
+		return false
 	}
-	f := &Footprint{}
 	ps := uint64(d.cfg.Geometry.PageSize)
 	last := addr
 	if n > 0 {
@@ -138,20 +141,20 @@ func (d *Device) Footprint(addr uint64, n int, write bool) (*Footprint, bool) {
 		switch {
 		case !mapped:
 			if write {
-				return nil, false // first write: copy-on-write allocates a frame
+				return false // first write: copy-on-write allocates a frame
 			}
 		case loc.InSRAM:
 			if write && d.buf.Lookup(lpn) == nil {
-				return nil, false // inconsistent mapping; let the serial path trap it
+				return false // inconsistent mapping; let the serial path trap it
 			}
 		default:
 			if write {
-				return nil, false // write to a Flash-resident page: copy-on-write
+				return false // write to a Flash-resident page: copy-on-write
 			}
 			f.AddBank(d.bankOf(loc.PPN))
 		}
 	}
-	return f, true
+	return true
 }
 
 // accessWindow is one host access interval a lane performed: the bank
@@ -177,7 +180,8 @@ func (ln *lane) window(bank int, end sim.Time) {
 
 // lane is the per-request execution state: a private clock plus private
 // copies of every statistic the access paths update, merged after every
-// lane of the batch has run.
+// lane of the batch has run. The device keeps its lanes across batches
+// (Device.lanes), so a warmed batch allocates nothing.
 type lane struct {
 	d   *Device
 	clk *sim.LaneClock
@@ -209,11 +213,16 @@ func (d *Device) ExecBatch(batch []*BatchAccess) {
 			}
 		}
 	}
-	clk := sim.NewShardedClock(d.now, len(batch))
-	lanes := make([]*lane, len(batch))
+	clk := &d.laneClock
+	clk.Reset(d.now, len(batch))
+	for len(d.lanes) < len(batch) {
+		d.lanes = append(d.lanes, &lane{})
+	}
+	lanes := d.lanes[:len(batch)]
 	for i, a := range batch {
-		lanes[i] = &lane{d: d, clk: clk.Lane(i)}
-		lanes[i].serve(a)
+		ln := lanes[i]
+		*ln = lane{d: d, clk: clk.Lane(i), windows: ln.windows[:0]}
+		ln.serve(a)
 	}
 	// Merge phase, in admission order: fold lane statistics into the
 	// device, replay each lane's access windows through the background

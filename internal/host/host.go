@@ -34,6 +34,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 
 	"envy/internal/core"
 	"envy/internal/sim"
@@ -112,13 +113,16 @@ type Engine struct {
 	// requests (parallel.go). Nil keeps the one-at-a-time service.
 	par ParallelBackend
 
-	// Batch dispatch accounting (parallel path only); fps is the
-	// collectBatch scratch of admitted footprints, index-aligned with
-	// the batch under construction.
+	// Batch dispatch accounting (parallel path only), and the batch
+	// scratch reused across dispatches: batch is the collectBatch
+	// result, fps its admitted footprints (index-aligned), accs the
+	// ExecBatch accesses. None holds a request past its dispatch.
 	batches  int64
 	batched  int64
 	maxBatch int
+	batch    []*Request
 	fps      []*core.Footprint
+	accs     []*core.BatchAccess
 
 	// Adaptive depth controller state (adaptive.go); effDepth is the
 	// current admission bound in [1, depth] when adaptive is on.
@@ -361,7 +365,9 @@ func (e *Engine) finish(r *Request) {
 	r.completed = true
 	for i, q := range e.queue {
 		if q == r {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
+			// Delete clears the vacated tail slot: the engine keeps no
+			// pointer to a completed request, so its owner may reuse it.
+			e.queue = slices.Delete(e.queue, i, i+1)
 			break
 		}
 	}

@@ -22,10 +22,11 @@ import "envy/internal/core"
 // path needs; *core.Device implements it when built with
 // Config.ParallelService.
 type ParallelBackend interface {
-	// Footprint resolves the resources an access needs, or reports
-	// ok=false when the access must take the serial path (copy-on-write,
-	// open transaction, armed crash injector, invalid range).
-	Footprint(addr uint64, n int, write bool) (*core.Footprint, bool)
+	// Footprint resolves into f the resources an access needs, or
+	// reports false when the access must take the serial path
+	// (copy-on-write, open transaction, armed crash injector, invalid
+	// range).
+	Footprint(f *core.Footprint, addr uint64, n int, write bool) bool
 
 	// ExecBatch services admitted requests with pairwise disjoint
 	// footprints, overlapping them on the simulated clock.
@@ -60,6 +61,9 @@ func (e *Engine) pumpParallel() {
 		default:
 			e.serviceBatch(batch)
 		}
+		// Drop the scratch's request pointers: the engine keeps none to
+		// a completed request.
+		clear(batch)
 	}
 }
 
@@ -69,11 +73,10 @@ func (e *Engine) pumpParallel() {
 // first eligible request has no lane footprint (it needs the serial
 // path) it is returned alone; a later serial-path request ends the
 // scan, so it is never starved by lane traffic batching past it.
-// Footprints are stashed on the requests' batch slots via the returned
-// parallel slice order.
+// The batch lives in the engine's scratch, index-aligned with the
+// admitted footprints in fps; pumpParallel clears it after dispatch.
 func (e *Engine) collectBatch() []*Request {
-	var batch []*Request
-	e.fps = e.fps[:0]
+	e.batch = e.batch[:0]
 	for i, r := range e.queue {
 		if !e.eligible(i) {
 			continue
@@ -81,15 +84,21 @@ func (e *Engine) collectBatch() []*Request {
 		if r.Write && e.be.WriteWouldBlock(r.Addr, len(r.Data)) {
 			continue
 		}
-		fp, ok := e.par.Footprint(r.Addr, len(r.Data), r.Write)
-		if !ok {
-			if len(batch) == 0 {
-				return []*Request{r}
+		// Resolve into the next free footprint: admitted footprints
+		// occupy fps[:n], a rejected candidate's slot is reused.
+		n := len(e.batch)
+		if len(e.fps) == n {
+			e.fps = append(e.fps, &core.Footprint{})
+		}
+		fp := e.fps[n]
+		if !e.par.Footprint(fp, r.Addr, len(r.Data), r.Write) {
+			if n == 0 {
+				e.batch = append(e.batch, r)
 			}
 			break
 		}
 		conflict := false
-		for _, g := range e.fps {
+		for _, g := range e.fps[:n] {
 			if !fp.Disjoint(g) {
 				conflict = true
 				break
@@ -98,10 +107,9 @@ func (e *Engine) collectBatch() []*Request {
 		if conflict {
 			continue // queues per-resource: a later batch picks it up
 		}
-		batch = append(batch, r)
-		e.fps = append(e.fps, fp)
+		e.batch = append(e.batch, r)
 	}
-	return batch
+	return e.batch
 }
 
 // serviceBatch executes a multi-request batch on execution lanes and
@@ -110,9 +118,12 @@ func (e *Engine) collectBatch() []*Request {
 // simulated device.
 func (e *Engine) serviceBatch(reqs []*Request) {
 	base := e.be.Now()
-	batch := make([]*core.BatchAccess, len(reqs))
+	for len(e.accs) < len(reqs) {
+		e.accs = append(e.accs, &core.BatchAccess{})
+	}
+	batch := e.accs[:len(reqs)]
 	for i, r := range reqs {
-		batch[i] = &core.BatchAccess{Write: r.Write, Addr: r.Addr, Data: r.Data, FP: e.fps[i]}
+		*batch[i] = core.BatchAccess{Write: r.Write, Addr: r.Addr, Data: r.Data, FP: e.fps[i]}
 	}
 	e.par.ExecBatch(batch)
 	e.batches++
@@ -124,6 +135,7 @@ func (e *Engine) serviceBatch(reqs []*Request) {
 		r.Start = base
 		r.Completion = batch[i].End
 		r.Err = batch[i].Err
+		*batch[i] = core.BatchAccess{} // drop the request's payload
 		e.finish(r)
 	}
 }

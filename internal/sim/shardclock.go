@@ -15,14 +15,19 @@ type ShardedClock struct {
 	lanes []LaneClock
 }
 
-// NewShardedClock builds a clock for one batch: every lane starts at
-// base.
-func NewShardedClock(base Time, lanes int) *ShardedClock {
-	c := &ShardedClock{base: base, lanes: make([]LaneClock, lanes)}
+// Reset starts the clock on a new batch of the given number of lanes,
+// every lane at base. A clock is reused across batches, so a warmed one
+// allocates nothing; lane clocks handed out before a reset must not be
+// used after it.
+func (c *ShardedClock) Reset(base Time, lanes int) {
+	c.base = base
+	if cap(c.lanes) < lanes {
+		c.lanes = make([]LaneClock, lanes)
+	}
+	c.lanes = c.lanes[:lanes]
 	for i := range c.lanes {
 		c.lanes[i].now = base
 	}
-	return c
 }
 
 // Base returns the batch's shared start time.

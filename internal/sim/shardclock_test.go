@@ -3,7 +3,8 @@ package sim
 import "testing"
 
 func TestShardedClockMerge(t *testing.T) {
-	c := NewShardedClock(Time(1000), 3)
+	var c ShardedClock
+	c.Reset(Time(1000), 3)
 	if c.Base() != 1000 {
 		t.Fatalf("base = %v, want 1000", c.Base())
 	}
@@ -30,7 +31,8 @@ func TestShardedClockDeterminism(t *testing.T) {
 	const lanes = 8
 	for trial := 0; trial < 50; trial++ {
 		for _, reverse := range []bool{false, true} {
-			c := NewShardedClock(Time(trial), lanes)
+			var c ShardedClock
+			c.Reset(Time(trial), lanes)
 			for k := 0; k < lanes; k++ {
 				i := k
 				if reverse {
@@ -46,5 +48,31 @@ func TestShardedClockDeterminism(t *testing.T) {
 				t.Fatalf("trial %d (reverse %v): merge = %v, want %v", trial, reverse, got, want)
 			}
 		}
+	}
+}
+
+// TestShardedClockReset reuses one clock across batches of different
+// sizes: every lane restarts at the new base, and lanes advanced in an
+// earlier, larger batch leave no trace in the merge.
+func TestShardedClockReset(t *testing.T) {
+	var c ShardedClock
+	c.Reset(Time(0), 4)
+	c.Lane(3).Advance(5000)
+	c.Reset(Time(100), 2)
+	if got := c.Merge(); got != 100 {
+		t.Fatalf("merge after reset = %v, want base 100", got)
+	}
+	c.Lane(1).Advance(30)
+	if got := c.Merge(); got != 130 {
+		t.Fatalf("merge = %v, want 130", got)
+	}
+	c.Reset(Time(200), 4)
+	for i := 0; i < 4; i++ {
+		if got := c.Lane(i).Now(); got != 200 {
+			t.Fatalf("lane %d after growing reset = %v, want 200", i, got)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Reset(Time(300), 3) }); n != 0 {
+		t.Errorf("Reset allocates %v times, want 0", n)
 	}
 }

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -24,28 +25,57 @@ type Latency struct {
 	max     int64
 	lastD   sim.Duration // memo: bucketFor(lastD) == lastI (zero value is valid)
 	lastI   int
-	buckets [128]int64 // bucket i covers [2^(i/4) ns ...), quarter-powers of two
+	buckets [numBuckets]int64 // bucket i covers [2^(i/4) ns ...), quarter-powers of two
 }
 
+const numBuckets = 128
+
+// bucketStart[i] is the smallest positive duration whose bucket is at
+// least i under the histogram's defining formula, floor(4*log2(d)).
+// The table is derived from that formula itself (bucketStarts), so the
+// integer bucketFor reproduces the floating-point bucketing exactly.
+var bucketStart = bucketStarts()
+
+// bucketStarts binary-searches each bucket's first duration under the
+// floating-point formula. It runs once, at package initialization.
+func bucketStarts() (t [numBuckets]sim.Duration) {
+	logBucket := func(d sim.Duration) int { return int(4 * math.Log2(float64(d))) }
+	for i := range t {
+		lo, hi := sim.Duration(1), sim.Duration(1)<<40 // logBucket(hi) > numBuckets
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if logBucket(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		t[i] = lo
+	}
+	return t
+}
+
+// bucketFor maps a duration to its histogram bucket, floor(4*log2(d))
+// clamped to [0, numBuckets): the bit length picks the octave, and at
+// most three comparisons against bucketStart pick the quarter.
 func bucketFor(d sim.Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	// 4 buckets per octave: index = floor(4*log2(d)).
-	i := int(4 * math.Log2(float64(d)))
-	if i < 0 {
-		i = 0
+	i := 4 * (bits.Len64(uint64(d)) - 1)
+	if i >= numBuckets {
+		return numBuckets - 1
 	}
-	if i >= len(Latency{}.buckets) {
-		i = len(Latency{}.buckets) - 1
+	end := i + 3
+	for i < end && d >= bucketStart[i+1] {
+		i++
 	}
 	return i
 }
 
 // Record adds one sample. Successive samples tend to repeat (a device
 // access path produces a handful of distinct latencies), so the bucket
-// index is memoized: the floating-point log in bucketFor dominates the
-// lane hot path otherwise.
+// index is memoized: a repeat skips even the integer bucket search.
 func (l *Latency) Record(d sim.Duration) {
 	v := int64(d)
 	if l.count == 0 || v < l.min {

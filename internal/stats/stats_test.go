@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +56,44 @@ func TestLatencyPercentileMonotone(t *testing.T) {
 			t.Fatalf("Percentile(%v) = %v < previous %v", p, v, prev)
 		}
 		prev = v
+	}
+}
+
+// bucketForRef is the floating-point bucketing the integer bucketFor
+// replaced, kept as its reference.
+func bucketForRef(d sim.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	i := int(4 * math.Log2(float64(d)))
+	if i < 0 {
+		i = 0
+	}
+	if i >= numBuckets {
+		i = numBuckets - 1
+	}
+	return i
+}
+
+// TestBucketForMatchesLog2 pins the integer bucketFor to the
+// floating-point formula: exhaustively below 2^24, and around every
+// bucket threshold above it.
+func TestBucketForMatchesLog2(t *testing.T) {
+	check := func(d sim.Duration) {
+		if got, want := bucketFor(d), bucketForRef(d); got != want {
+			t.Fatalf("bucketFor(%d) = %d, want %d", d, got, want)
+		}
+	}
+	for d := sim.Duration(-3); d < 1<<24; d++ {
+		check(d)
+	}
+	for i := 1; i < numBuckets; i++ {
+		for d := bucketStart[i] - 3; d <= bucketStart[i]+3; d++ {
+			check(d)
+		}
+	}
+	for _, d := range []sim.Duration{1 << 31, 1<<32 - 1, 1 << 32, 1 << 40, 1<<63 - 1} {
+		check(d)
 	}
 }
 

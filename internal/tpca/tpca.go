@@ -71,6 +71,61 @@ type Bank struct {
 	branchBase, tellerBase, accountBase uint64
 
 	branchTree, tellerTree, accountTree *btree.Tree
+
+	// Recycled host-queue state of the balance updates: the requests
+	// and their 8-byte payloads, and execRun's issue slices.
+	reqs          reqPool
+	reads, writes []*host.Request
+}
+
+// reqPool recycles the host requests of balance-record accesses, each
+// with its own 8-byte payload. A request is reused only once the engine
+// has completed it and its data has been consumed: a read goes back
+// through put as soon as its balance is taken, a write — submitted
+// without waiting — when a later get finds it completed. The engine
+// holds no pointer to a completed request, so reuse cannot alias one
+// it still tracks.
+type reqPool struct {
+	free   []*host.Request
+	writes []*host.Request // handed out for writing, perhaps still queued
+}
+
+// get returns a request for an 8-byte access at addr, reset to its
+// unsubmitted state.
+func (p *reqPool) get(write bool, addr uint64) *host.Request {
+	if len(p.free) == 0 {
+		p.reclaimWrites()
+	}
+	var r *host.Request
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+		*r = host.Request{Data: r.Data}
+	} else {
+		r = &host.Request{Data: make([]byte, 8)}
+	}
+	r.Write, r.Addr = write, addr
+	if write {
+		p.writes = append(p.writes, r)
+	}
+	return r
+}
+
+// put returns a completed read whose data has been consumed.
+func (p *reqPool) put(r *host.Request) { p.free = append(p.free, r) }
+
+// reclaimWrites moves every completed write back to the free list.
+func (p *reqPool) reclaimWrites() {
+	pending := p.writes[:0]
+	for _, w := range p.writes {
+		if w.Completed() {
+			p.free = append(p.free, w)
+		} else {
+			pending = append(pending, w)
+		}
+	}
+	clear(p.writes[len(pending):])
+	p.writes = pending
 }
 
 // Setup lays the database out in the device's logical space and bulk
@@ -205,17 +260,26 @@ func (b *Bank) addBalance(recordAddr uint64, delta int64) {
 // write is submitted without waiting — a blocked buffer defers it
 // behind the next transaction's reads instead of stalling the host.
 func (b *Bank) addBalanceVia(eng *host.Engine, recordAddr uint64, delta int64) error {
-	r := &host.Request{Addr: recordAddr, Data: make([]byte, 8)}
+	r := b.reqs.get(false, recordAddr)
 	eng.Submit(r)
 	eng.ServeUntilDone(r)
 	if r.Err != nil {
 		return r.Err
 	}
-	v := int64(binary.LittleEndian.Uint64(r.Data)) + delta
-	w := &host.Request{Write: true, Addr: recordAddr, Data: make([]byte, 8)}
-	binary.LittleEndian.PutUint64(w.Data, uint64(v))
+	w := b.writeBack(r, delta)
 	eng.Submit(w)
 	return nil
+}
+
+// writeBack consumes a completed balance read and returns the write
+// request carrying the updated balance; the read goes back to the pool.
+func (b *Bank) writeBack(rd *host.Request, delta int64) *host.Request {
+	v := int64(binary.LittleEndian.Uint64(rd.Data)) + delta
+	addr := rd.Addr
+	b.reqs.put(rd)
+	w := b.reqs.get(true, addr)
+	binary.LittleEndian.PutUint64(w.Data, uint64(v))
+	return w
 }
 
 // Transaction executes one TPC-A transaction against account id
@@ -331,14 +395,15 @@ func (b *Bank) transactGroup(eng *host.Engine, txns []groupTxn) error {
 // execRun issues one conflict-free run: every record read of every
 // transaction submitted at once, then every write.
 func (b *Bank) execRun(eng *host.Engine, txns []groupTxn) error {
-	reads := make([]*host.Request, 0, 3*len(txns))
+	reads := b.reads[:0]
 	for i := range txns {
 		for _, a := range txns[i].addrs {
-			reads = append(reads, &host.Request{Addr: a, Data: make([]byte, 8)})
+			reads = append(reads, b.reqs.get(false, a))
 		}
 	}
+	b.reads = reads
 	eng.SubmitAll(reads...)
-	writes := make([]*host.Request, 0, len(reads))
+	writes := b.writes[:0]
 	for i := range txns {
 		for r := 0; r < 3; r++ {
 			rd := reads[3*i+r]
@@ -346,12 +411,10 @@ func (b *Bank) execRun(eng *host.Engine, txns []groupTxn) error {
 			if rd.Err != nil {
 				return rd.Err
 			}
-			v := int64(binary.LittleEndian.Uint64(rd.Data)) + txns[i].delta
-			w := &host.Request{Write: true, Addr: txns[i].addrs[r], Data: make([]byte, 8)}
-			binary.LittleEndian.PutUint64(w.Data, uint64(v))
-			writes = append(writes, w)
+			writes = append(writes, b.writeBack(rd, txns[i].delta))
 		}
 	}
+	b.writes = writes
 	eng.SubmitAll(writes...)
 	now := b.dev.Now()
 	for i := range txns {
@@ -421,6 +484,7 @@ type Driver struct {
 	// overlaps them on execution lanes.
 	par      bool
 	groupMax int
+	group    []groupTxn // the pending issue group, kept across Run calls
 }
 
 // NewDriver returns a driver using the bank's config seed.
@@ -490,7 +554,8 @@ func (dr *Driver) Run(rate float64, duration sim.Duration) (Results, error) {
 	// Parallel drivers gather transactions already due into a group and
 	// issue their record accesses together; flushGroup services the
 	// pending group and records each member's completion.
-	var group []groupTxn
+	group := dr.group[:0]
+	defer func() { dr.group = group[:0] }()
 	flushGroup := func() error {
 		if len(group) == 0 {
 			return nil

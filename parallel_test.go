@@ -191,8 +191,8 @@ func newLaneRig(t *testing.T) *laneRig {
 	// primitive itself (placement is whatever the preload chose).
 	var fps []*core.Footprint
 	for addr := uint64(0); int64(addr)+int64(rig.segByte) <= dev.Size() && len(rig.regions) < geo.Banks; addr += uint64(rig.segByte) {
-		fp, ok := dev.Footprint(addr, rig.segByte, false)
-		if !ok {
+		fp := &core.Footprint{}
+		if !dev.Footprint(fp, addr, rig.segByte, false) {
 			t.Fatalf("no footprint for preloaded region %#x", addr)
 		}
 		disjoint := true
